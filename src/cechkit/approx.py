@@ -16,10 +16,15 @@ import numpy as np
 
 from .complexes import cech_filtration
 from .errors import InvalidInput
-from .geometry import meb, meb_of_cells
+from .geometry import meb, meb_of_cells, min_pairwise_distance
 from .homology import SComplex, Tower, VertexMap
 from .quadtree import Cell, Quadtree, qcell
 from .wssd import WSSD, _bracket_pow2
+
+
+def theta_value(eps: float, ell: int) -> float:
+    """theta_l = (1 + eps/2)^l, the l-th discretized scale."""
+    return (1.0 + eps / 2.0) ** ell
 
 
 @dataclass(frozen=True)
@@ -30,15 +35,11 @@ class ScaleParams:
     h_alpha: int
 
     def theta(self, ell: int) -> float:
-        return (1.0 + self.eps / 2.0) ** ell
+        return theta_value(self.eps, ell)
 
     @property
     def theta_k(self) -> float:
         return self.theta(self.k_alpha)
-
-
-def theta_value(eps: float, ell: int) -> float:
-    return (1.0 + eps / 2.0) ** ell
 
 
 def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
@@ -48,13 +49,12 @@ def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
         raise InvalidInput(f"alpha must be positive, got {alpha}")
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must be in (0,1), got {eps}")
-    base = 1.0 + eps / 2.0
-    k = int(math.floor(math.log(alpha) / math.log(base)))
-    while base ** k > alpha:
+    k = int(math.floor(math.log(alpha) / math.log(1.0 + eps / 2.0)))
+    while theta_value(eps, k) > alpha:
         k -= 1
-    while base ** (k + 1) <= alpha:
+    while theta_value(eps, k + 1) <= alpha:
         k += 1
-    h = _bracket_pow2(eps * (base ** k) / (3.0 * math.sqrt(d)))
+    h = _bracket_pow2(eps * theta_value(eps, k) / (3.0 * math.sqrt(d)))
     return ScaleParams(eps, alpha, k, h)
 
 
@@ -72,14 +72,23 @@ class ApproxComplex:
 
 
 def build_A(
-    qt: Quadtree, wssd: WSSD, alpha: float, eps: float, check_closure: bool = True
+    qt: Quadtree,
+    wssd: WSSD,
+    alpha: float,
+    eps: float,
+    check_closure: bool = True,
+    *,
+    rad_cache: dict | None = None,
 ) -> ApproxComplex:
     """Approximation complex at scale alpha from an eps/12-WSSD.
 
     Every WST with all cells at height <= h_alpha is projected to the
     grid, and the projected tuple joins the complex if the radius of its
     cell union is at most theta_{k_alpha}.  All nonempty grid cells are
-    vertices regardless.
+    vertices regardless.  `rad_cache` maps a projected tuple, as its
+    cells' (height, index) pairs, to the meb radius of its union; a
+    caller building several scales of one WSSD passes one dict to all of
+    them, since that radius does not depend on the scale.
     """
     if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
         raise InvalidInput("WSSD must be built with parameter eps/12")
@@ -90,7 +99,8 @@ def build_A(
     for idx in qt.level(h):
         simplices.add((Cell(h, idx),))
 
-    rad_cache: dict[tuple, float] = {}
+    if rad_cache is None:
+        rad_cache = {}
     for t in wssd.all_tuples():
         if any(c.height > h for c in t.cells):
             continue
@@ -157,15 +167,9 @@ def map_psi(qt: Quadtree, a: ApproxComplex, kmax: int = None) -> VertexMap:
 def tower_scale_range(qt: Quadtree, eps: float) -> tuple[int, int]:
     """Theta exponents spanning [min pair radius / (1+eps), rad(S)*(1+eps)]."""
     pts = qt.cloud.points
-    n = pts.shape[0]
-    if n < 2:
+    if pts.shape[0] < 2:
         return (0, 0)
-    best = math.inf
-    for i in range(n):
-        dd = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
-        if dd.size:
-            best = min(best, float(dd.min()))
-    lo_val = (best / 2.0) / (1.0 + eps)
+    lo_val = (min_pairwise_distance(pts) / 2.0) / (1.0 + eps)
     hi_val = meb(pts).radius * (1.0 + eps)
     base = math.log(1.0 + eps / 2.0)
     ell_min = int(math.floor(math.log(lo_val) / base)) - 1
@@ -184,7 +188,8 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
     if ell_max < ell_min:
         raise InvalidInput("empty scale range")
     scales = [theta_value(eps, ell) for ell in range(ell_min, ell_max + 1)]
-    complexes = [build_A(qt, wssd, s, eps) for s in scales]
+    rad_cache: dict = {}  # projected-tuple radii, shared by every scale
+    complexes = [build_A(qt, wssd, s, eps, rad_cache=rad_cache) for s in scales]
     maps = [
         map_g(complexes[i], complexes[i + 1]) for i in range(len(complexes) - 1)
     ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import diam, meb
+from .geometry import TAU_GEOM, circumball, covers, meb
 
 
 def _entry_key(entry):
@@ -71,26 +71,62 @@ class Filtration:
 
 
 def cech_filtration(points, kmax: int) -> Filtration:
-    """Filtration value of each simplex is the meb radius of its vertices."""
+    """Filtration value of each simplex is the meb radius of its vertices.
+
+    Simplices are solved dimension by dimension, keeping each one's ball
+    (center and value).  Facet inheritance: if the ball of some facet
+    contains the opposite vertex (up to the Welzl slack), that ball
+    encloses the whole simplex and, being the facet's meb, is also the
+    simplex's meb, so the simplex takes it without a solve.  Otherwise
+    every vertex is a support point, and for k <= d the meb is the
+    circumball of all k+1 vertices.  For k > d (where inheritance always
+    applies in exact arithmetic, since a support set has at most d+1
+    points) and for a degenerate circumball solve, Welzl's `meb` is the
+    fallback.  Each value is finally raised to the largest facet value:
+    rounding, and inheriting a ball that holds its vertex only up to the
+    slack, could otherwise leave a facet a hair above its coface.
+    """
     pts = np.asarray(points, dtype=float)
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n = pts.shape[0]
-    entries = []
-    values: dict[tuple[int, ...], float] = {}
-    for k in range(min(kmax, n - 1) + 1):
+    # simplex -> (center, value), for the dimension last solved only
+    balls: dict[tuple[int, ...], tuple[np.ndarray, float]] = {
+        (i,): (pts[i], 0.0) for i in range(n)
+    }
+    entries = [(s, 0.0) for s in balls]
+    for k in range(1, min(kmax, n - 1) + 1):
+        prev, balls = balls, {}
         for simplex in itertools.combinations(range(n), k + 1):
-            value = 0.0 if k == 0 else meb(pts[list(simplex)]).radius
-            if k > 0:
-                # Clamp away sub-ulp violations of face monotonicity from
-                # independently solved meb instances.
-                value = max(
-                    value,
-                    max(values[f] for f in itertools.combinations(simplex, k)),
-                )
-            values[simplex] = value
+            facets = [simplex[:j] + simplex[j + 1 :] for j in range(k + 1)]
+            for facet, opposite in zip(facets, simplex):
+                if covers(*prev[facet], pts[opposite]):
+                    ball = prev[facet]
+                    break
+            else:
+                ball = _all_support_ball(pts[list(simplex)])
+            value = max(ball[1], max(prev[f][1] for f in facets))
+            balls[simplex] = (ball[0], value)
             entries.append((simplex, value))
     return Filtration(entries)
+
+
+def _all_support_ball(vertices: np.ndarray) -> tuple[np.ndarray, float]:
+    """Meb of a simplex none of whose facet balls holds the opposite vertex.
+
+    Then every vertex lies on the meb's boundary, so the meb is the
+    circumball when the k+1 vertices can be affinely independent
+    (k <= d).  A circumball with a vertex off its sphere (by the support
+    tolerance of `meb`) came from a degenerate solve; `meb` decides then.
+    """
+    if len(vertices) <= vertices.shape[1] + 1:
+        center, radius = circumball(vertices)
+        diff = vertices - center
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if radius - dists.min() <= radius * TAU_GEOM + 1e-12:
+            return center, radius
+    res = meb(vertices)
+    return res.center, res.radius
 
 
 def rips_filtration(points, kmax: int) -> Filtration:

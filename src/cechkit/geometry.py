@@ -3,9 +3,14 @@
 Minimum enclosing balls are computed by Welzl's move-to-front algorithm
 with support sets of at most d+1 points; this is exact (up to floating
 point) and practical for d <= 12, which covers everything the rest of
-the library needs.  Balls of cell unions reduce to the ball of all cell
-corners, since the meb of a convex polytope equals the meb of its
-vertex set.
+the library needs.  Its one numeric kernel is `circumball`: with the
+rows of V the offsets of the boundary points from the first one, p0,
+the center is p0 + lambda V where lambda solves the small Gram system
+(V V^T) lambda = diag(V V^T) / 2, the minimum-norm center in the
+boundary's affine hull.  A singular Gram matrix (an affinely dependent
+boundary) falls back to a least-squares solve of the offset system.
+Balls of cell unions reduce to the ball of all cell corners, since the
+meb of a convex polytope equals the meb of its vertex set.
 """
 
 from __future__ import annotations
@@ -75,30 +80,51 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _circumball(boundary: list[np.ndarray]) -> tuple[np.ndarray, float]:
+def circumball(boundary) -> tuple[np.ndarray, float]:
     """Smallest ball with all `boundary` points on its surface.
 
-    The center lies in the affine hull of the boundary points; the
-    least-squares solve below returns exactly that (minimum-norm
-    solution of the offset system).
+    The center is p0 + lambda V with (V V^T) lambda = diag(V V^T) / 2,
+    where the rows of V are q - p0; this is the minimum-norm solution
+    of the offset system 2 V x = diag(V V^T), so the center lies in the
+    affine hull of the boundary.  When the Gram matrix is singular, or
+    lambda comes out non-finite, the least-squares solve of the offset
+    system gives that minimum-norm center instead.  The radius is the
+    largest distance from the center to a boundary point.
     """
-    p0 = boundary[0]
-    if len(boundary) == 1:
+    pts = np.asarray(boundary, dtype=float)
+    p0 = pts[0]
+    if len(pts) == 1:
         return p0.copy(), 0.0
-    A = np.array([2.0 * (q - p0) for q in boundary[1:]])
-    b = np.array([float(np.dot(q - p0, q - p0)) for q in boundary[1:]])
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    center = p0 + x
-    radius = max(float(np.linalg.norm(q - center)) for q in boundary)
-    return center, radius
+    V = pts[1:] - p0
+    if len(V) == 1:
+        center = p0 + 0.5 * V[0]  # the 1x1 Gram system has lambda = 1/2
+    else:
+        G = V @ V.T
+        try:
+            lam = np.linalg.solve(G, 0.5 * np.diag(G))
+        except np.linalg.LinAlgError:
+            lam = None
+        if lam is not None and np.isfinite(lam).all():
+            center = p0 + lam @ V
+        else:
+            x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
+            center = p0 + x
+    D = pts - center
+    return center, math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
+
+
+def covers(center: np.ndarray, radius: float, q: np.ndarray) -> bool:
+    """True iff the ball (center, radius) contains q up to the Welzl slack."""
+    v = q - center
+    return math.sqrt(v @ v) <= radius * (1.0 + _WELZL_SLACK) + 1e-14
 
 
 def _welzl_mtf(pts: list[np.ndarray], boundary: list[np.ndarray], d: int):
-    center, radius = _circumball(boundary)
+    center, radius = circumball(boundary)
     if len(boundary) == d + 1:
         return center, radius
     for i, q in enumerate(pts):
-        if float(np.linalg.norm(q - center)) > radius * (1.0 + _WELZL_SLACK) + 1e-14:
+        if not covers(center, radius, q):
             center, radius = _welzl_mtf(pts[: i + 1], boundary + [q], d)
     return center, radius
 
@@ -118,7 +144,7 @@ def meb(points) -> MebResult:
 
     center, radius = shuffled[0].copy(), 0.0
     for i, p in enumerate(shuffled):
-        if float(np.linalg.norm(p - center)) > radius * (1.0 + _WELZL_SLACK) + 1e-14:
+        if not covers(center, radius, p):
             center, radius = _welzl_mtf(shuffled[:i], [p], d)
 
     dists = np.linalg.norm(pts - center, axis=1)
@@ -129,18 +155,17 @@ def meb(points) -> MebResult:
     return MebResult(Ball(tuple(center), radius), support)
 
 
+def _row_distances(pts: np.ndarray):
+    """Distances from each point to the later ones, one row at a time,
+    so memory stays O(n) where a full distance matrix would be O(n^2)."""
+    for i in range(pts.shape[0] - 1):
+        yield np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
+
+
 def diam(points) -> float:
     """Maximum pairwise distance; 0 for a single point."""
     pts = _as_points(points)
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    best = 0.0
-    for i in range(n):
-        dd = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
-        if dd.size:
-            best = max(best, float(dd.max()))
-    return best
+    return max((float(dd.max()) for dd in _row_distances(pts)), default=0.0)
 
 
 def expand(ball: Ball, factor: float) -> Ball:
@@ -165,13 +190,8 @@ def meb_of_cells(cells) -> MebResult:
 
 
 def min_pairwise_distance(points) -> float:
+    """Minimum distance over all pairs of points."""
     pts = _as_points(points)
-    n = pts.shape[0]
-    if n < 2:
+    if pts.shape[0] < 2:
         raise InvalidInput("need at least two points")
-    best = math.inf
-    for i in range(n):
-        dd = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
-        if dd.size:
-            best = min(best, float(dd.min()))
-    return best
+    return min(float(dd.min()) for dd in _row_distances(pts))

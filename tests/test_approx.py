@@ -209,6 +209,26 @@ def test_build_tower_empty_range():
         build_tower(qt, dec, 0.5, (3, 1))
 
 
+def _two_clusters(rng, n, sigma=0.01):
+    """Two planar Gaussian clusters 0.7 apart: a wide spread of scales."""
+    centers = np.array([[0.15, 0.5], [0.85, 0.5]])
+    return centers[np.arange(n) % 2] + sigma * rng.standard_normal((n, 2))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clusters"])
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_build_tower_shared_cache_matches_independent_build_A(kind, eps):
+    # build_tower shares one projected-tuple radius cache across its
+    # scales; each complex must equal a fresh build_A at the same theta.
+    rng = np.random.default_rng([80, int(eps * 100), kind == "clusters"])
+    for n in (8, 9):
+        pts = random_cloud(rng, n, 2) if kind == "uniform" else _two_clusters(rng, n)
+        qt, dec = make(pts, eps, kmax=2)
+        tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+        for theta, K in zip(tower.scales, tower.complexes):
+            assert K.simplices == build_A(qt, dec, theta, eps).complex.simplices
+
+
 def test_cech_complex_at_threshold():
     K = cech_complex_at(TRIANGLE, 1.0, 2)
     assert (0, 1) in K.simplices

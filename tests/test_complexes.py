@@ -1,5 +1,6 @@
 """Filtrations, completion complexes, and the sandwich property."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cechkit.complexes import (
     rips_filtration,
 )
 from cechkit.errors import InvalidInput
+from cechkit.geometry import meb
 
 from conftest import TRIANGLE, random_cloud
 
@@ -25,6 +27,45 @@ def test_cech_filtration_triangle():
         assert vals[v] == 0.0
     assert vals[(0, 1)] == pytest.approx(1.0)
     assert vals[(0, 1, 2)] == pytest.approx(1.1547005, abs=1e-6)
+
+
+def _cech_values_oracle(pts):
+    """Per-simplex meb radius over every subset, the route without reuse."""
+    n = pts.shape[0]
+    return {
+        s: 0.0 if k == 0 else meb(pts[list(s)]).radius
+        for k in range(n)
+        for s in itertools.combinations(range(n), k + 1)
+    }
+
+
+def _oracle_clouds():
+    rng = np.random.default_rng(59)
+    for _ in range(24):
+        yield random_cloud(rng, int(rng.integers(4, 10)), int(rng.integers(1, 7)))
+    # Grid-snapped: many collinear, co-circular and repeated-distance subsets.
+    snapped = np.unique(np.round(rng.uniform(size=(9, 3)) * 3.0) / 3.0, axis=0)
+    assert snapped.shape[0] >= 4
+    yield snapped
+    # Co-circular points in the plane, and on a circle inside R^3.
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=7)
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    yield circle
+    yield np.column_stack([circle, np.zeros(7)])
+
+
+def test_cech_filtration_matches_per_simplex_meb_oracle():
+    # Facet inheritance and circumball solves must reproduce the plain
+    # per-simplex meb radii over the full simplex.
+    for pts in _oracle_clouds():
+        n = pts.shape[0]
+        filt = cech_filtration(pts, n - 1)
+        values = filt.value_of()
+        oracle = _cech_values_oracle(pts)
+        assert values.keys() == oracle.keys()
+        for s, v in oracle.items():
+            assert values[s] == pytest.approx(v, rel=1e-12, abs=0.0)
+        assert filt.is_face_monotone()
 
 
 def test_rips_filtration_triangle():

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from cechkit.errors import InvalidInput
-from cechkit.geometry import Ball, diam, expand, meb, meb_of_cells, min_pairwise_distance
+from cechkit.geometry import (
+    Ball,
+    circumball,
+    diam,
+    expand,
+    meb,
+    meb_of_cells,
+    min_pairwise_distance,
+)
 from cechkit.quadtree import Cell
 
 from conftest import TRIANGLE, random_cloud
@@ -37,6 +45,48 @@ def meb_radius_bruteforce(pts):
             if all(np.linalg.norm(p - c) <= r * (1 + 1e-9) + 1e-12 for p in pts):
                 best = min(best, r)
     return best
+
+
+# ---------------------------------------------------------------------------
+# circumball
+
+def test_circumball_matches_oracle_on_general_position():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        d = int(rng.integers(1, 7))
+        pts = rng.uniform(size=(int(rng.integers(1, d + 2)), d))
+        c, r = circumball(pts)
+        oc, orad = _circumball_oracle(pts)
+        assert np.allclose(c, oc, rtol=1e-9, atol=1e-12)
+        assert r == pytest.approx(orad, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [
+        [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]],  # collinear in R^2
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],  # coplanar in R^3
+        [[0.0, 0.0], [2.0, 1.0], [2.0, 1.0]],  # repeated point
+    ],
+)
+def test_circumball_singular_gram_falls_back_to_lstsq(boundary, monkeypatch):
+    # An affinely dependent boundary makes the Gram matrix singular; the
+    # least-squares solve must take over and agree with the oracle.
+    pts = np.array(boundary)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    c, r = circumball(pts)
+    monkeypatch.undo()
+    assert calls
+    oc, orad = _circumball_oracle(pts)
+    assert np.allclose(c, oc, rtol=1e-12, atol=1e-12)
+    assert r == pytest.approx(orad, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
