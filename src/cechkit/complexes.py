@@ -9,6 +9,7 @@ vertex labels; for point clouds the labels are point ids.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +90,11 @@ def cech_filtration(points, kmax: int) -> Filtration:
     pts = np.asarray(points, dtype=float)
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
-    n = pts.shape[0]
+    n, d = pts.shape
+    rows = [tuple(p) for p in pts.tolist()]
     # simplex -> (center, value), for the dimension last solved only
-    balls: dict[tuple[int, ...], tuple[np.ndarray, float]] = {
-        (i,): (pts[i], 0.0) for i in range(n)
+    balls: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {
+        (i,): (rows[i], 0.0) for i in range(n)
     }
     entries = [(s, 0.0) for s in balls]
     for k in range(1, min(kmax, n - 1) + 1):
@@ -100,18 +102,18 @@ def cech_filtration(points, kmax: int) -> Filtration:
         for simplex in itertools.combinations(range(n), k + 1):
             facets = [simplex[:j] + simplex[j + 1 :] for j in range(k + 1)]
             for facet, opposite in zip(facets, simplex):
-                if covers(*prev[facet], pts[opposite]):
+                if covers(*prev[facet], rows[opposite]):
                     ball = prev[facet]
                     break
             else:
-                ball = _all_support_ball(pts[list(simplex)])
+                ball = _all_support_ball([rows[i] for i in simplex], d)
             value = max(ball[1], max(prev[f][1] for f in facets))
             balls[simplex] = (ball[0], value)
             entries.append((simplex, value))
     return Filtration(entries)
 
 
-def _all_support_ball(vertices: np.ndarray) -> tuple[np.ndarray, float]:
+def _all_support_ball(vertices: list[tuple[float, ...]], d: int):
     """Meb of a simplex none of whose facet balls holds the opposite vertex.
 
     Then every vertex lies on the meb's boundary, so the meb is the
@@ -119,14 +121,13 @@ def _all_support_ball(vertices: np.ndarray) -> tuple[np.ndarray, float]:
     (k <= d).  A circumball with a vertex off its sphere (by the support
     tolerance of `meb`) came from a degenerate solve; `meb` decides then.
     """
-    if len(vertices) <= vertices.shape[1] + 1:
+    if len(vertices) <= d + 1:
         center, radius = circumball(vertices)
-        diff = vertices - center
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if radius - dists.min() <= radius * TAU_GEOM + 1e-12:
+        nearest = min(math.dist(center, v) for v in vertices)
+        if radius - nearest <= radius * TAU_GEOM + 1e-12:
             return center, radius
     res = meb(vertices)
-    return res.center, res.radius
+    return res.ball.center, res.radius
 
 
 def rips_filtration(points, kmax: int) -> Filtration:

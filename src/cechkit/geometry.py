@@ -3,21 +3,27 @@
 Minimum enclosing balls are computed by Welzl's move-to-front algorithm
 with support sets of at most d+1 points; this is exact (up to floating
 point) and practical for d <= 12, which covers everything the rest of
-the library needs.  Its one numeric kernel is `circumball`: with the
-rows of V the offsets of the boundary points from the first one, p0,
-the center is p0 + lambda V where lambda solves the small Gram system
+the library needs.  The recursion runs on Python floats: points are
+tuples and every containment test is one `math.dist` (`covers`).  Its
+one numeric kernel is `circumball`: with the rows of V the offsets of
+the boundary points from the first one, p0, the center is
+p0 + lambda V where lambda solves the small Gram system
 (V V^T) lambda = diag(V V^T) / 2, the minimum-norm center in the
-boundary's affine hull.  A singular Gram matrix (an affinely dependent
-boundary) falls back to a least-squares solve of the offset system.
-Balls of cell unions reduce to the ball of all cell corners, since the
-meb of a convex polytope equals the meb of its vertex set.
+boundary's affine hull.  Boundaries of at most three points are solved
+in closed form (the point, the midpoint, Cramer's rule on the 2x2
+system); larger ones, and a singular 2x2 system, go to a numpy solve,
+which falls back to least squares for an affinely dependent boundary.
+Balls of cell unions reduce to the ball of all distinct cell corners,
+since the meb of a convex polytope equals the meb of its vertex set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -80,46 +86,62 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def circumball(boundary) -> tuple[np.ndarray, float]:
+def circumball(boundary) -> tuple[tuple[float, ...], float]:
     """Smallest ball with all `boundary` points on its surface.
 
-    The center is p0 + lambda V with (V V^T) lambda = diag(V V^T) / 2,
-    where the rows of V are q - p0; this is the minimum-norm solution
-    of the offset system 2 V x = diag(V V^T), so the center lies in the
-    affine hull of the boundary.  When the Gram matrix is singular, or
-    lambda comes out non-finite, the least-squares solve of the offset
-    system gives that minimum-norm center instead.  The radius is the
-    largest distance from the center to a boundary point.
+    `boundary` is any sequence of points; the result is a center tuple
+    and a radius.  The center is p0 + lambda V with
+    (V V^T) lambda = diag(V V^T) / 2, where the rows of V are q - p0;
+    this is the minimum-norm solution of the offset system
+    2 V x = diag(V V^T), so the center lies in the affine hull of the
+    boundary.  Up to three points the system is solved on Python floats:
+    lambda = 1/2 for two, Cramer's rule on the 2x2 Gram matrix for
+    three.  A singular 2x2 matrix (det == 0), a non-finite lambda, or
+    four or more points go to `np.linalg.solve`, and from there to the
+    least-squares solve of the offset system, which gives the
+    minimum-norm center, when that Gram matrix is singular or lambda is
+    not finite.  The radius is the largest distance from the center to
+    a boundary point (half the distance for two points).
     """
+    p0 = boundary[0]
+    if len(boundary) == 1:
+        return tuple(p0), 0.0
+    if len(boundary) == 2:
+        p1 = boundary[1]
+        return tuple(a + 0.5 * (b - a) for a, b in zip(p0, p1)), 0.5 * math.dist(p0, p1)
+    if len(boundary) == 3:
+        v1 = [b - a for a, b in zip(p0, boundary[1])]
+        v2 = [b - a for a, b in zip(p0, boundary[2])]
+        g11, g12, g22 = sum(map(mul, v1, v1)), sum(map(mul, v1, v2)), sum(map(mul, v2, v2))
+        det = g11 * g22 - g12 * g12
+        if det != 0.0:
+            lam1 = g22 * (g11 - g12) / (2.0 * det)
+            lam2 = g11 * (g22 - g12) / (2.0 * det)
+            if math.isfinite(lam1) and math.isfinite(lam2):
+                center = tuple(a + lam1 * x + lam2 * y for a, x, y in zip(p0, v1, v2))
+                return center, max(math.dist(center, q) for q in boundary)
     pts = np.asarray(boundary, dtype=float)
-    p0 = pts[0]
-    if len(pts) == 1:
-        return p0.copy(), 0.0
-    V = pts[1:] - p0
-    if len(V) == 1:
-        center = p0 + 0.5 * V[0]  # the 1x1 Gram system has lambda = 1/2
+    V = pts[1:] - pts[0]
+    G = V @ V.T
+    try:
+        lam = np.linalg.solve(G, 0.5 * np.diag(G))
+    except np.linalg.LinAlgError:
+        lam = None
+    if lam is not None and np.isfinite(lam).all():
+        center = pts[0] + lam @ V
     else:
-        G = V @ V.T
-        try:
-            lam = np.linalg.solve(G, 0.5 * np.diag(G))
-        except np.linalg.LinAlgError:
-            lam = None
-        if lam is not None and np.isfinite(lam).all():
-            center = p0 + lam @ V
-        else:
-            x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
-            center = p0 + x
+        x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
+        center = pts[0] + x
     D = pts - center
-    return center, math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
+    return tuple(center.tolist()), math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
 
 
-def covers(center: np.ndarray, radius: float, q: np.ndarray) -> bool:
+def covers(center, radius: float, q) -> bool:
     """True iff the ball (center, radius) contains q up to the Welzl slack."""
-    v = q - center
-    return math.sqrt(v @ v) <= radius * (1.0 + _WELZL_SLACK) + 1e-14
+    return math.dist(q, center) <= radius * (1.0 + _WELZL_SLACK) + 1e-14
 
 
-def _welzl_mtf(pts: list[np.ndarray], boundary: list[np.ndarray], d: int):
+def _welzl_mtf(pts: list[tuple], boundary: list[tuple], d: int):
     center, radius = circumball(boundary)
     if len(boundary) == d + 1:
         return center, radius
@@ -127,6 +149,14 @@ def _welzl_mtf(pts: list[np.ndarray], boundary: list[np.ndarray], d: int):
         if not covers(center, radius, q):
             center, radius = _welzl_mtf(pts[: i + 1], boundary + [q], d)
     return center, radius
+
+
+@functools.lru_cache(maxsize=64)
+def _shuffled_order(n: int) -> tuple[int, ...]:
+    """Welzl's insertion order for n points: a fixed-seed shuffle."""
+    order = list(range(n))
+    random.Random(0x5EB1).shuffle(order)
+    return tuple(order)
 
 
 def meb(points) -> MebResult:
@@ -138,11 +168,10 @@ def meb(points) -> MebResult:
     if n == 1:
         return MebResult(Ball(tuple(pts[0]), 0.0), (0,))
 
-    order = list(range(n))
-    random.Random(0x5EB1).shuffle(order)
-    shuffled = [pts[i] for i in order]
+    rows = pts.tolist()
+    shuffled = [tuple(rows[i]) for i in _shuffled_order(n)]
 
-    center, radius = shuffled[0].copy(), 0.0
+    center, radius = shuffled[0], 0.0
     for i, p in enumerate(shuffled):
         if not covers(center, radius, p):
             center, radius = _welzl_mtf(shuffled[:i], [p], d)
@@ -152,7 +181,7 @@ def meb(points) -> MebResult:
         int(i) for i in np.argsort(-dists) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12
     ]
     support = tuple(sorted(on_boundary[: d + 1]))
-    return MebResult(Ball(tuple(center), radius), support)
+    return MebResult(Ball(center, radius), support)
 
 
 def _row_distances(pts: np.ndarray):
@@ -178,15 +207,17 @@ def expand(ball: Ball, factor: float) -> Ball:
 def meb_of_cells(cells) -> MebResult:
     """Minimum enclosing ball of a union of solid quadtree cells.
 
-    Computed as the meb of all cell corners (2^d per cell), which is
-    exact for the convex union arguments used elsewhere.
+    Computed as the meb of all distinct cell corners (2^d per cell), in
+    lexicographic order, which is exact for the convex union arguments
+    used elsewhere.
     """
     cells = list(cells)
     if not cells:
         raise InvalidInput("empty cell list")
-    corners = np.concatenate([c.corners() for c in cells], axis=0)
-    corners = np.unique(corners, axis=0)
-    return meb(corners)
+    corners = set()
+    for c in cells:
+        corners.update(c.corner_tuples())
+    return meb(sorted(corners))
 
 
 def min_pairwise_distance(points) -> float:

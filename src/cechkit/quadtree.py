@@ -11,6 +11,7 @@ points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,14 +54,14 @@ class Cell:
     def center(self) -> np.ndarray:
         return (np.asarray(self.index, dtype=float) + 0.5) * self.side
 
+    def corner_tuples(self) -> list[tuple[float, ...]]:
+        """The 2^d corners; bit a of a corner's position picks hi on axis a."""
+        s = self.side
+        spans = [(i * s, (i + 1) * s) for i in reversed(self.index)]
+        return [c[::-1] for c in itertools.product(*spans)]
+
     def corners(self) -> np.ndarray:
-        d = self.d
-        lo = self.lo
-        out = np.empty((1 << d, d))
-        for m in range(1 << d):
-            for a in range(d):
-                out[m, a] = lo[a] + self.side if (m >> a) & 1 else lo[a]
-        return out
+        return np.array(self.corner_tuples())
 
     def contains_point(self, x) -> bool:
         return cell_index_of(np.asarray(x, dtype=float), self.height) == self.index

@@ -151,7 +151,7 @@ def test_exit_3_on_infeasible(capsys, triangle_file):
 
 
 def test_out_file_and_determinism(tmp_path, triangle_file):
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(["wssd", triangle_file, "--dump-tuples", "--out", a]) == 0
-    assert main(["wssd", triangle_file, "--dump-tuples", "--out", b]) == 0
-    assert open(a).read() == open(b).read()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["wssd", triangle_file, "--dump-tuples", "--out", str(a)]) == 0
+    assert main(["wssd", triangle_file, "--dump-tuples", "--out", str(b)]) == 0
+    assert a.read_text() == b.read_text()

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
+from cechkit import quadtree, wssd
 from cechkit.errors import InvalidInput
 from cechkit.geometry import (
+    TAU_GEOM,
     Ball,
     circumball,
     diam,
@@ -150,6 +153,135 @@ def test_meb_monotone_under_inclusion():
 
 
 # ---------------------------------------------------------------------------
+# scalar Welzl kernel against the numpy Welzl it replaced
+
+def _ref_circumball(boundary):
+    pts = np.asarray(boundary, dtype=float)
+    p0 = pts[0]
+    if len(pts) == 1:
+        return p0.copy(), 0.0
+    V = pts[1:] - p0
+    if len(V) == 1:
+        center = p0 + 0.5 * V[0]
+    else:
+        G = V @ V.T
+        try:
+            lam = np.linalg.solve(G, 0.5 * np.diag(G))
+        except np.linalg.LinAlgError:
+            lam = None
+        if lam is not None and np.isfinite(lam).all():
+            center = p0 + lam @ V
+        else:
+            x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
+            center = p0 + x
+    D = pts - center
+    return center, math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
+
+
+def _ref_covers(center, radius, q):
+    v = q - center
+    return math.sqrt(v @ v) <= radius * (1.0 + 1e-10) + 1e-14
+
+
+def _ref_welzl(pts, boundary, d):
+    center, radius = _ref_circumball(boundary)
+    if len(boundary) == d + 1:
+        return center, radius
+    for i, q in enumerate(pts):
+        if not _ref_covers(center, radius, q):
+            center, radius = _ref_welzl(pts[: i + 1], boundary + [q], d)
+    return center, radius
+
+
+def ref_meb(points):
+    """(radius, support, boundary): numpy Welzl with the library's shuffle
+    and support certificate; `boundary` is every point the certificate
+    accepts as on the sphere, in its order."""
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    if n == 1:
+        return 0.0, (0,), [0]
+    order = list(range(n))
+    random.Random(0x5EB1).shuffle(order)
+    shuffled = [pts[i] for i in order]
+    center, radius = shuffled[0].copy(), 0.0
+    for i, p in enumerate(shuffled):
+        if not _ref_covers(center, radius, p):
+            center, radius = _ref_welzl(shuffled[:i], [p], d)
+    dists = np.linalg.norm(pts - center, axis=1)
+    boundary = [
+        int(i) for i in np.argsort(-dists) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12
+    ]
+    return radius, tuple(sorted(boundary[: d + 1])), boundary
+
+
+def assert_same_meb(res, ref, d):
+    """Radius within 1e-12 relative and the same support.  When more than
+    d+1 points lie on the sphere the certificate keeps d+1 of them in
+    distance order, which a last-bit change of the center can permute;
+    then the support must be d+1 of the same boundary points."""
+    radius, support, boundary = ref
+    assert res.radius == pytest.approx(radius, rel=1e-12, abs=1e-15)
+    if len(boundary) <= d + 1:
+        assert res.support == support
+    else:
+        assert len(res.support) == d + 1 and set(res.support) <= set(boundary)
+
+
+def _lattice_corner_sets(rng, count):
+    """Corner sets of a few random cells in R^2 and R^3, mixed heights:
+    lattice points with exactly collinear and co-circular triples."""
+    for _ in range(count):
+        d = int(rng.integers(2, 4))
+        cells = [
+            Cell(int(rng.integers(-1, 2)), tuple(int(i) for i in rng.integers(0, 4, size=d)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        yield np.unique(np.concatenate([c.corners() for c in cells]), axis=0)
+
+
+def test_scalar_welzl_matches_numpy_welzl():
+    rng = np.random.default_rng(41)
+    clouds = [random_cloud(rng, int(rng.integers(1, 11)), d) for d in range(1, 7) for _ in range(8)]
+    clouds += list(_lattice_corner_sets(rng, 40))
+    for pts in clouds:
+        res = meb(pts)
+        assert_same_meb(res, ref_meb(pts), pts.shape[1])
+        if len(pts) <= 10:
+            assert res.radius == pytest.approx(meb_radius_bruteforce(pts), rel=1e-9, abs=1e-12)
+
+
+def test_circumball_closed_forms_match_numpy_solve(monkeypatch):
+    # Random boundaries of 1-3 points, then every triple of some lattice
+    # corner sets.  Welzl never hands `circumball` a collinear triple (no
+    # sphere passes through one), so the lattice triples are what drive
+    # the det == 0 fallback to numpy; a spy on `np.linalg.solve` sees it.
+    rng = np.random.default_rng(43)
+    boundaries = [
+        rng.uniform(size=(int(rng.integers(1, 4)), int(rng.integers(2, 7)))) for _ in range(60)
+    ]
+    for pts in _lattice_corner_sets(rng, 10):
+        boundaries += [np.array(t) for t in itertools.combinations(pts, 3)]
+    singular_fallbacks = []
+    solve = np.linalg.solve
+
+    def spy(G, b):
+        if G.shape == (2, 2):  # only a det == 0 three-point boundary gets here
+            singular_fallbacks.append(1)
+        return solve(G, b)
+
+    for pts in boundaries:
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        c, r = circumball(pts.tolist())
+        monkeypatch.undo()
+        oc, orad = _ref_circumball(pts)
+        assert isinstance(c, tuple) and len(c) == pts.shape[1]
+        assert np.allclose(c, oc, rtol=1e-12, atol=1e-12)
+        assert r == pytest.approx(orad, rel=1e-12)
+    assert singular_fallbacks
+
+
+# ---------------------------------------------------------------------------
 # diam
 
 def test_diam_triangle():
@@ -245,3 +377,36 @@ def test_min_pairwise_distance():
     assert min_pairwise_distance([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]]) == pytest.approx(1.0)
     with pytest.raises(InvalidInput):
         min_pairwise_distance([[0.0, 0.0]])
+
+
+def _corners_loop(cell):
+    # the per-corner loop `Cell.corners` used to run
+    d = cell.d
+    lo = cell.lo
+    out = np.empty((1 << d, d))
+    for m in range(1 << d):
+        for a in range(d):
+            out[m, a] = lo[a] + cell.side if (m >> a) & 1 else lo[a]
+    return out
+
+
+def test_cell_corners_match_per_corner_loop():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        d = int(rng.integers(1, 5))
+        cell = Cell(int(rng.integers(-3, 4)), tuple(int(i) for i in rng.integers(-5, 6, size=d)))
+        assert np.array_equal(cell.corners(), _corners_loop(cell))
+
+
+@pytest.mark.parametrize("d,n,seed", [(2, 10, 3), (2, 12, 4), (3, 8, 5), (3, 9, 6)])
+def test_meb_of_cells_matches_unique_corner_oracle(d, n, seed):
+    pts = random_cloud(np.random.default_rng(seed), n, d)
+    qt = quadtree.build(quadtree.normalize(pts))
+    dec = wssd.build_wssd(qt, 0.25, 2)
+    mixed = 0
+    for k in (1, 2):
+        for t in dec.gamma(k):
+            mixed += len({c.height for c in t.cells}) > 1
+            corners = np.unique(np.concatenate([c.corners() for c in t.cells]), axis=0)
+            assert_same_meb(meb_of_cells(t.cells), ref_meb(corners), d)
+    assert mixed
