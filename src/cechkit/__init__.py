@@ -29,8 +29,6 @@ from .homology import (
     VertexMap,
     check_contiguous,
     filtration_tower,
-    homology_basis,
-    induced_map,
     persist_filtration,
     tower_diagram,
 )

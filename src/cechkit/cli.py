@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import approx, complexes, coreset, diagram, homology, quadtree, wssd
-from .errors import CechkitError, InvalidInput, ParseError
+from .errors import CechkitError, ParseError
 
 
 def load_points(path: str) -> np.ndarray:
@@ -92,8 +92,6 @@ def cmd_wssd(args) -> dict:
     pts = load_points(args.input)
     cloud = quadtree.normalize(pts)
     qt = quadtree.build(cloud)
-    if args.kmax > qt.d:
-        raise InvalidInput(f"kmax {args.kmax} exceeds dimension {qt.d}")
     decomposition = wssd.build_wssd(qt, args.eps, args.kmax)
     stats = {
         f"gamma_{k}": len(decomposition.gamma(k)) for k in range(1, args.kmax + 1)
@@ -120,7 +118,7 @@ def cmd_approx(args) -> dict:
     pts = load_points(args.input)
     cloud = quadtree.normalize(pts)
     qt = quadtree.build(cloud)
-    decomposition = wssd.build_wssd(qt, args.eps / 12.0, min(qt.d, args.kmax))
+    decomposition = wssd.build_wssd(qt, args.eps / 12.0, args.kmax)
     if args.ell_min is not None and args.ell_max is not None:
         rng = (args.ell_min, args.ell_max)
     else:

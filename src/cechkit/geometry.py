@@ -20,6 +20,7 @@ since the meb of a convex polytope equals the meb of its vertex set.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -176,11 +177,12 @@ def meb(points) -> MebResult:
         if not covers(center, radius, p):
             center, radius = _welzl_mtf(shuffled[:i], [p], d)
 
-    dists = np.linalg.norm(pts - center, axis=1)
-    on_boundary = [
-        int(i) for i in np.argsort(-dists) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12
-    ]
-    support = tuple(sorted(on_boundary[: d + 1]))
+    # The d+1 lowest indices on the sphere: with more co-spherical points
+    # the support then depends on the ball only, not on the last bits of
+    # its center.
+    tol = radius * TAU_GEOM + 1e-12
+    on_boundary = (i for i, q in enumerate(rows) if abs(math.dist(q, center) - radius) <= tol)
+    support = tuple(itertools.islice(on_boundary, d + 1))
     return MebResult(Ball(center, radius), support)
 
 

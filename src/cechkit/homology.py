@@ -1,12 +1,10 @@
 """GF(2) persistent homology.
 
-Two routes into the same invariants:
-
-* ``persist_filtration`` -- classical boundary-matrix column reduction
-  for a single filtration, columns stored as Python ints (bitsets).
-* ``tower_diagram`` -- persistence of a tower of complexes connected by
-  simplicial vertex maps, via induced homology matrices, persistent
-  Betti ranks, and inclusion-exclusion of multiplicities.
+One engine, ``persist_filtration``: classical boundary-matrix column
+reduction of a filtration, columns stored as Python ints (bitsets).  A
+tower of complexes connected by simplicial vertex maps is first turned
+into a filtration with the same diagram, by coning off each vertex
+collapse (``tower_diagram``).
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .complexes import Filtration
 from .errors import InvalidInput
 
 INF = math.inf
@@ -106,185 +103,6 @@ def check_contiguous(f: VertexMap, g: VertexMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on int bitsets
-
-def _top_bit(x: int) -> int:
-    return x.bit_length() - 1
-
-
-class _Echelon:
-    """Incremental GF(2) echelon form with combination tracking."""
-
-    def __init__(self):
-        self.rows: dict[int, tuple[int, int]] = {}  # pivot -> (vector, track)
-        self.count = 0
-
-    def add(self, vec: int, track: int = 0) -> bool:
-        """Insert a vector; returns True if it increased the rank."""
-        v, t = vec, track
-        while v:
-            b = _top_bit(v)
-            if b not in self.rows:
-                self.rows[b] = (v, t)
-                self.count += 1
-                return True
-            rv, rt = self.rows[b]
-            v ^= rv
-            t ^= rt
-        return False
-
-    def express(self, vec: int) -> int | None:
-        """Track combination reducing `vec` to zero, or None if outside span."""
-        v, t = vec, 0
-        while v:
-            b = _top_bit(v)
-            if b not in self.rows:
-                return None
-            rv, rt = self.rows[b]
-            v ^= rv
-            t ^= rt
-        return t
-
-
-# ---------------------------------------------------------------------------
-# homology bases
-
-@dataclass
-class HomologyBasis:
-    """Cycle representatives of H_p plus the data needed for coordinates."""
-
-    p: int
-    simplices: list          # p-simplices in canonical order
-    index: dict              # simplex -> bit position
-    cycles: list[int]        # one bitset per homology generator
-    boundaries: list[int]    # basis of the boundary subspace B_p
-    _coords: _Echelon = field(default=None, repr=False)
-
-    @property
-    def betti(self) -> int:
-        return len(self.cycles)
-
-    def coordinates(self, chain: int) -> tuple[int, ...] | None:
-        """Homology-class coordinates of a cycle, or None if not a cycle class."""
-        if self._coords is None:
-            ech = _Echelon()
-            for b in self.boundaries:
-                ech.add(b, 0)
-            for i, z in enumerate(self.cycles):
-                ech.add(z, 1 << i)
-            self._coords = ech
-        t = self._coords.express(chain)
-        if t is None:
-            return None
-        return tuple((t >> i) & 1 for i in range(len(self.cycles)))
-
-    def chain_to_bits(self, simplices) -> int:
-        out = 0
-        for s in simplices:
-            out ^= 1 << self.index[s]
-        return out
-
-    def bits_to_chain(self, bits: int) -> list:
-        return [self.simplices[i] for i in range(len(self.simplices)) if (bits >> i) & 1]
-
-
-def _boundary_bits(simplex, index_lower: dict) -> int:
-    out = 0
-    for f in itertools.combinations(simplex, len(simplex) - 1):
-        out ^= 1 << index_lower[f]
-    return out
-
-
-def homology_basis(K: SComplex, p: int) -> HomologyBasis:
-    """Basis of H_p(K) over GF(2), cycles as bitsets over the p-simplices."""
-    sp = K.dim_simplices(p)
-    index = {s: i for i, s in enumerate(sp)}
-    lower = {s: i for i, s in enumerate(K.dim_simplices(p - 1))} if p > 0 else {}
-
-    # Kernel of the p-th boundary map, with combination tracking.
-    kernel: list[int] = []
-    ech = _Echelon()
-    for j, s in enumerate(sp):
-        bnd = _boundary_bits(s, lower) if p > 0 else 0
-        if bnd == 0:
-            kernel.append(1 << j)
-            continue
-        v, t = bnd, 1 << j
-        while v:
-            b = _top_bit(v)
-            if b not in ech.rows:
-                ech.rows[b] = (v, t)
-                break
-            rv, rt = ech.rows[b]
-            v ^= rv
-            t ^= rt
-        if v == 0:
-            kernel.append(t)
-
-    # Image of the (p+1)-st boundary map.
-    boundaries: list[int] = []
-    img = _Echelon()
-    for s in K.dim_simplices(p + 1):
-        bnd = _boundary_bits(s, index)
-        if img.add(bnd):
-            boundaries.append(bnd)
-
-    # Kernel vectors independent modulo the boundary subspace.
-    quot = _Echelon()
-    for b in boundaries:
-        quot.add(b)
-    cycles = [z for z in kernel if quot.add(z)]
-    return HomologyBasis(p, sp, index, cycles, boundaries)
-
-
-def induced_map(
-    f: VertexMap, p: int, basis_dom: HomologyBasis = None, basis_cod: HomologyBasis = None
-) -> np.ndarray:
-    """Matrix of H_p(f) in the given (or freshly computed) bases."""
-    if not f.is_simplicial():
-        raise InvalidInput("map is not simplicial")
-    if basis_dom is None:
-        basis_dom = homology_basis(f.domain, p)
-    if basis_cod is None:
-        basis_cod = homology_basis(f.codomain, p)
-
-    M = np.zeros((basis_cod.betti, basis_dom.betti), dtype=np.uint8)
-    for j, z in enumerate(basis_dom.cycles):
-        image_bits = 0
-        for s in basis_dom.bits_to_chain(z):
-            t = f.apply(s)
-            if len(t) == p + 1:  # degenerate images vanish in dimension p
-                image_bits ^= 1 << basis_cod.index[t]
-        coords = basis_cod.coordinates(image_bits)
-        if coords is None:
-            raise InvalidInput("image of a cycle is not a cycle; map not simplicial?")
-        M[:, j] = coords
-    return M
-
-
-def gf2_rank(M: np.ndarray) -> int:
-    A = (np.array(M, dtype=np.uint8) % 2).copy()
-    if A.size == 0:
-        return 0
-    rank = 0
-    rows, cols = A.shape
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if A[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and A[r, c]:
-                A[r] ^= A[rank]
-        rank += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
 # persistence diagrams
 
 @dataclass
@@ -344,13 +162,13 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
     for j in range(len(entries)):
         col = columns[j]
         while col:
-            low = _top_bit(col)
+            low = col.bit_length() - 1
             if low not in low_of:
                 break
             col ^= columns[low_of[low]]
         columns[j] = col
         if col:
-            low = _top_bit(col)
+            low = col.bit_length() - 1
             low_of[low] = j
             lows[j] = low
 
@@ -403,42 +221,62 @@ class Tower:
             raise InvalidInput("scales must be strictly increasing")
 
 
+def _coned_filtration(tower: Tower) -> dict:
+    """Simplex -> value of a filtration with the persistence of `tower`.
+
+    Each map is split into elementary collapses u -> v, one per extra
+    vertex of a fibre, and each collapse is simulated by adding the cone
+    v * cl(St u) at the map's target scale before u is renamed to v in
+    the current complex (Dey, Fan and Wang 2014); the vertex with the
+    larger star survives, which keeps the filtration near-linear in the
+    tower's size (Kerber and Schreiber 2019).  The simplices of the
+    target complex outside the image then enter at the same scale.
+    Vertices are relabelled to integers: an image vertex takes the id of
+    its fibre's survivor and a new vertex a fresh id, so no later vertex
+    reuses the id of a removed one.
+    """
+    value: dict = {}
+    ids: dict = {}
+    fresh = itertools.count()
+    current: set = set()
+    for i, K in enumerate(tower.complexes):
+        scale = 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
+        if i > 0:
+            f = tower.maps[i - 1]
+            if not f.is_simplicial():
+                raise InvalidInput("map is not simplicial")
+            fibres: dict = {}
+            for x in tower.complexes[i - 1].vertices():
+                fibres.setdefault(f.mapping[x], []).append(ids[x])
+            ids = {}
+            for w, (v, *rest) in fibres.items():
+                for u in rest:
+                    star_u = [s for s in current if u in s]
+                    star_v = [s for s in current if v in s]
+                    if len(star_u) > len(star_v):
+                        u, v, star_u = v, u, star_v
+                    for s in star_u:
+                        for k in range(1, len(s) + 1):
+                            for face in itertools.combinations(s, k):
+                                value.setdefault(tuple(sorted({*face, v})), scale)
+                    current.difference_update(star_u)
+                    current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
+                ids[w] = v
+        for x in K.vertices():
+            if x not in ids:
+                ids[x] = next(fresh)
+        current = {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
+        for s in current:
+            value.setdefault(s, scale)
+    return value
+
+
 def tower_diagram(tower: Tower, p: int) -> PersistenceDiagram:
-    """Diagram of a tower via persistent Betti ranks of induced maps."""
-    m = len(tower.complexes)
-    dgm = PersistenceDiagram()
-    if m == 0:
-        return dgm
-    bases = [homology_basis(K, p) for K in tower.complexes]
-    mats = [
-        induced_map(f, p, bases[i], bases[i + 1]) for i, f in enumerate(tower.maps)
-    ]
-
-    # beta[i][j] = rank of H_p(K_i) -> H_p(K_j), j >= i
-    beta = [[0] * m for _ in range(m)]
-    for i in range(m):
-        beta[i][i] = bases[i].betti
-        acc = np.eye(bases[i].betti, dtype=np.uint8)
-        for j in range(i + 1, m):
-            acc = (mats[j - 1] @ acc) % 2
-            beta[i][j] = gf2_rank(acc)
-
-    def b(i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return beta[i][j]
-
-    birth_scale = lambda i: 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            mu = b(i, j - 1) - b(i, j) - b(i - 1, j - 1) + b(i - 1, j)
-            for _ in range(mu):
-                dgm.add(p, birth_scale(i), tower.scales[j])
-        essential = b(i, m - 1) - b(i - 1, m - 1)
-        for _ in range(essential):
-            dgm.add(p, birth_scale(i), INF)
-    return dgm
+    """Diagram of a tower in dimension p, by column reduction of its
+    coned filtration cut at dimension p+1."""
+    entries = [(s, v) for s, v in _coned_filtration(tower).items() if len(s) <= p + 2]
+    dgm = persist_filtration(Filtration(entries), p)
+    return PersistenceDiagram({p: dgm.points[p]} if p in dgm.points else {})
 
 
 def filtration_tower(filt) -> Tower:

@@ -1,5 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Equilateral triangle with circumradius sqrt(4/3); used all over the suite.
 TRIANGLE = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, np.sqrt(3.0)]])
@@ -17,3 +23,16 @@ def random_cloud(rng, n, d, box=1.0):
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         if n < 2 or dist[np.triu_indices(n, 1)].min() > 1e-6:
             return pts
+
+
+def bench_module(name):
+    """bench/<name>.py, loaded by path under the name bench_<name>, so the
+    tests can run the benchmark's own ops and checks without putting
+    bench/ on sys.path."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[key]

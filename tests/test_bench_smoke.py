@@ -1,0 +1,42 @@
+"""The benchmark's ops, output checks and tracer still fit the library.
+
+bench/workloads.py and bench/tracing.py are loaded read-only and run
+here, so a renamed or removed library name they use fails tier-1 rather
+than a benchmark run.
+"""
+
+import pytest
+
+from cechkit import homology
+
+from conftest import bench_module
+
+
+@pytest.mark.parametrize("name", ["tower2d", "completion_hd"])
+def test_one_cycle_passes_output_checks(name):
+    W = bench_module("workloads")
+    wl = W.WORKLOADS[name]
+    for index in range(len(wl.slots)):
+        args, expect = wl.inputs(0, index)
+        out = wl.op(**args)
+        assert wl.check_output(0, index, args, expect, out).ok, (name, index)
+
+
+def test_tracer_installs_on_every_target_and_uninstalls():
+    W = bench_module("workloads")
+    T = bench_module("tracing")
+    original = homology.tower_diagram
+    tracer = T.Tracer()
+    tracer.install()  # getattr on every traced name: raises if one is gone
+    try:
+        assert homology.tower_diagram is not original
+        args, _ = W.WORKLOADS["tower2d"].inputs(0, 0)
+        tracer.begin_op(0)
+        W.op_tower(**args)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert homology.tower_diagram is original
+    layers = tracer.per_op()[0]
+    for layer in ("approx.build_tower", "homology.tower_diagram", "homology.persist_filtration"):
+        assert layers[layer][0] >= 1, layer

@@ -150,6 +150,12 @@ def test_exit_3_on_infeasible(capsys, triangle_file):
     assert "error" in capsys.readouterr().err
 
 
+def test_approx_kmax_above_dimension_exits_3(capsys, triangle_file):
+    # The same check as `wssd`: no silent clamp to d.
+    assert main(["approx", triangle_file, "--kmax", "3"]) == 3
+    assert "d=2" in capsys.readouterr().err
+
+
 def test_out_file_and_determinism(tmp_path, triangle_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["wssd", triangle_file, "--dump-tuples", "--out", str(a)]) == 0

@@ -209,23 +209,16 @@ def ref_meb(points):
         if not _ref_covers(center, radius, p):
             center, radius = _ref_welzl(shuffled[:i], [p], d)
     dists = np.linalg.norm(pts - center, axis=1)
-    boundary = [
-        int(i) for i in np.argsort(-dists) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12
-    ]
-    return radius, tuple(sorted(boundary[: d + 1])), boundary
+    boundary = [i for i in range(n) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12]
+    return radius, tuple(boundary[: d + 1]), boundary
 
 
-def assert_same_meb(res, ref, d):
-    """Radius within 1e-12 relative and the same support.  When more than
-    d+1 points lie on the sphere the certificate keeps d+1 of them in
-    distance order, which a last-bit change of the center can permute;
-    then the support must be d+1 of the same boundary points."""
-    radius, support, boundary = ref
+def assert_same_meb(res, ref):
+    """Radius within 1e-12 relative and exactly the same support: the d+1
+    lowest indices on the sphere, however many points lie on it."""
+    radius, support, _ = ref
     assert res.radius == pytest.approx(radius, rel=1e-12, abs=1e-15)
-    if len(boundary) <= d + 1:
-        assert res.support == support
-    else:
-        assert len(res.support) == d + 1 and set(res.support) <= set(boundary)
+    assert res.support == support
 
 
 def _lattice_corner_sets(rng, count):
@@ -246,9 +239,26 @@ def test_scalar_welzl_matches_numpy_welzl():
     clouds += list(_lattice_corner_sets(rng, 40))
     for pts in clouds:
         res = meb(pts)
-        assert_same_meb(res, ref_meb(pts), pts.shape[1])
+        assert_same_meb(res, ref_meb(pts))
         if len(pts) <= 10:
             assert res.radius == pytest.approx(meb_radius_bruteforce(pts), rel=1e-9, abs=1e-12)
+
+
+def test_meb_support_canonical_on_cospherical_sets():
+    # More than d+1 lattice points on the sphere: the support is the d+1
+    # lowest indices on it, also after shifts that change the last bits
+    # of the center.
+    cases = [
+        ([[0, 0], [0, 1], [1, 0], [1, 1]], (0, 1, 2)),
+        ([[0, 0], [1, 2], [2, 1], [-1, 2], [2, -1], [1, -2], [-2, 1], [-1, -2], [-2, -1]], (1, 2, 3)),
+        ([list(c) for c in itertools.product((0, 1), repeat=3)], (0, 1, 2, 3)),
+        ([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], (1, 2, 3, 4)),
+    ]
+    for pts, support in cases:
+        for shift in (0.0, 0.1, 1.0 / 3.0, -7.77, 1e3 + 0.7):
+            res = meb(np.array(pts, dtype=float) + shift)
+            assert res.support == support
+            assert res.support == ref_meb(np.array(pts, dtype=float) + shift)[1]
 
 
 def test_circumball_closed_forms_match_numpy_solve(monkeypatch):
@@ -408,5 +418,5 @@ def test_meb_of_cells_matches_unique_corner_oracle(d, n, seed):
         for t in dec.gamma(k):
             mixed += len({c.height for c in t.cells}) > 1
             corners = np.unique(np.concatenate([c.corners() for c in t.cells]), axis=0)
-            assert_same_meb(meb_of_cells(t.cells), ref_meb(corners), d)
+            assert_same_meb(meb_of_cells(t.cells), ref_meb(corners))
     assert mixed

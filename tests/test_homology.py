@@ -1,6 +1,8 @@
-"""GF(2) persistence: filtrations, homology bases, induced maps, towers."""
+"""GF(2) persistence: filtrations, towers, and the rank-based tower route
+kept as the oracle for the coned-filtration one."""
 
-import math
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -13,17 +15,15 @@ from cechkit.homology import (
     SComplex,
     Tower,
     VertexMap,
+    _coned_filtration,
     check_contiguous,
     filtration_tower,
-    gf2_rank,
-    homology_basis,
     identity_map,
-    induced_map,
     persist_filtration,
     tower_diagram,
 )
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, bench_module, random_cloud
 
 
 def circle_complex(n, labels=None):
@@ -81,42 +81,55 @@ def test_persist_betti_matches_euler():
 
 
 # ---------------------------------------------------------------------------
-# homology bases and induced maps
+# Betti numbers, collapses and maps, read off tower diagrams
 
-def test_basis_circle():
-    K = circle_complex(5)
-    assert homology_basis(K, 0).betti == 1
-    assert homology_basis(K, 1).betti == 1
-    assert homology_basis(K, 2).betti == 0
+def alive(dgm, p, a, b):
+    """Rank of H_p(K_a) -> H_p(K_b): points born by a and alive past b."""
+    return sum(1 for x, y in dgm.dim(p) if x <= a and y > b)
 
 
-def test_basis_disk():
-    K = SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)})
-    assert homology_basis(K, 0).betti == 1
-    assert homology_basis(K, 1).betti == 0
+def single(K, scale=1.0):
+    return Tower([K], [], [scale])
 
 
-def test_basis_two_components():
-    K = SComplex({(0,), (1,), (2,), (0, 1)})
-    assert homology_basis(K, 0).betti == 2
+def test_tower_betti_circle():
+    t = single(circle_complex(5))
+    assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
+    assert tower_diagram(t, 1).dim(1) == [(1.0, INF)]
+    assert tower_diagram(t, 2).dim(2) == []
 
 
-def test_induced_identity():
+def test_tower_betti_disk():
+    t = single(SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}))
+    assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
+    assert tower_diagram(t, 1).dim(1) == []
+
+
+def test_tower_betti_two_components():
+    t = single(SComplex({(0,), (1,), (2,), (0, 1)}))
+    assert tower_diagram(t, 0).dim(0) == [(1.0, INF), (1.0, INF)]
+
+
+def test_tower_identity_keeps_h1():
     K = circle_complex(6)
-    assert np.array_equal(induced_map(identity_map(K), 1), np.eye(1, dtype=np.uint8))
+    t = Tower([K, K], [identity_map(K)], [1.0, 2.0])
+    assert tower_diagram(t, 1).dim(1) == [(1.0, INF)]
 
 
-def test_induced_collapse_kills_h1():
-    # Map a hexagon circle onto a triangle circle filled by a 2-simplex.
+def test_tower_collapse_kills_h1():
+    # Map a hexagon circle onto a triangle circle filled by a 2-simplex:
+    # every fibre has two vertices.
     K = circle_complex(6)
     disk = SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)})
     f = VertexMap(K, disk, {i: i % 3 for i in range(6)})
     assert f.is_simplicial()
-    assert induced_map(f, 1).shape == (0, 1)
+    t = Tower([K, disk], [f], [1.0, 2.0])
+    assert tower_diagram(t, 1).dim(1) == [(1.0, 2.0)]
+    assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
 
-def test_contiguous_maps_equal_on_homology():
-    # Two contiguous subdivision collapses induce the same H_p matrices.
+def test_contiguous_maps_equal_diagrams():
+    # Two contiguous subdivision collapses give the same tower diagrams.
     K = circle_complex(8)
     L = circle_complex(4)
     f = VertexMap(K, L, {i: i // 2 for i in range(8)})
@@ -124,7 +137,9 @@ def test_contiguous_maps_equal_on_homology():
     assert f.is_simplicial() and g.is_simplicial()
     assert check_contiguous(f, g)
     for p in (0, 1):
-        assert np.array_equal(induced_map(f, p), induced_map(g, p))
+        tf = tower_diagram(Tower([K, L], [f], [1.0, 2.0]), p)
+        tg = tower_diagram(Tower([K, L], [g], [1.0, 2.0]), p)
+        assert tf.dim(p) == tg.dim(p) == [(1.0, INF)]
 
 
 def test_check_contiguous_negative():
@@ -136,23 +151,42 @@ def test_check_contiguous_negative():
     assert not check_contiguous(f, g)
 
 
-def test_induced_functorial():
-    # H(g o f) = H(g) H(f) on a chain of circle maps.
+def test_tower_composition():
+    # The rank of A -> C through B equals the rank of the composite map
+    # A -> C, for a circle map and for one into a disk.
     A = circle_complex(8)
     B = circle_complex(4)
-    C = circle_complex(4)
+    disk = SComplex(
+        {(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (0, 1, 2), (0, 2, 3)}
+    )
     f = VertexMap(A, B, {i: i // 2 for i in range(8)})
-    g = identity_map(B)
-    g = VertexMap(B, C, g.mapping)
-    gf = g.compose(f)
-    assert np.array_equal(induced_map(gf, 1), (induced_map(g, 1) @ induced_map(f, 1)) % 2)
+    for C, rank in ((circle_complex(4), 1), (disk, 0)):
+        g = VertexMap(B, C, identity_map(B).mapping)
+        assert g.is_simplicial()
+        through = tower_diagram(Tower([A, B, C], [f, g], [1.0, 2.0, 3.0]), 1)
+        direct = tower_diagram(Tower([A, C], [g.compose(f)], [1.0, 3.0]), 1)
+        assert alive(through, 1, 1.0, 3.0) == alive(direct, 1, 1.0, 3.0) == rank
 
 
-def test_gf2_rank():
-    assert gf2_rank(np.array([[1, 1], [1, 1]])) == 1
-    assert gf2_rank(np.eye(3)) == 3
-    assert gf2_rank(np.zeros((2, 2))) == 0
-    assert gf2_rank(np.zeros((0, 4))) == 0
+def test_tower_collapse_keeps_the_larger_star():
+    # Pendant vertex 0 collapses onto hub 5 of a star graph.  Coning the
+    # pendant's star onto the hub adds nothing; the other way round would
+    # add an edge and a triangle per leaf.
+    K = SComplex.from_simplices([(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]).closure()
+    L = SComplex.from_simplices([(1, 5), (2, 5), (3, 5), (4, 5)]).closure()
+    t = Tower([K, L], [VertexMap(K, L, {v: 5 if v == 0 else v for v in range(6)})], [1.0, 2.0])
+    assert len(_coned_filtration(t)) == len(K.simplices)
+    assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
+
+
+def test_tower_rejects_non_simplicial_map():
+    # The edge (0, 1) maps onto (0, 1) of a complex without that edge.
+    K = SComplex({(0,), (1,), (0, 1)})
+    L = SComplex({(0,), (1,)})
+    t = Tower([K, L], [VertexMap(K, L, {0: 0, 1: 1})], [1.0, 2.0])
+    for p in (0, 1):
+        with pytest.raises(InvalidInput):
+            tower_diagram(t, p)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +251,292 @@ def test_tower_validation():
         Tower([K, K], [identity_map(K)], [2.0, 1.0])
     with pytest.raises(InvalidInput):
         Tower([K, K], [], [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# rank-based tower diagrams: the route tower_diagram used before the coned
+# filtration, kept here as its oracle (homology bases per complex, induced
+# matrices, persistent Betti ranks, inclusion-exclusion of multiplicities)
+
+def _top_bit(x):
+    return x.bit_length() - 1
+
+
+class _Echelon:
+    """Incremental GF(2) echelon form with combination tracking."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> (vector, track)
+
+    def add(self, vec, track=0):
+        """Insert a vector; returns True if it increased the rank."""
+        v, t = vec, track
+        while v:
+            b = _top_bit(v)
+            if b not in self.rows:
+                self.rows[b] = (v, t)
+                return True
+            rv, rt = self.rows[b]
+            v ^= rv
+            t ^= rt
+        return False
+
+    def express(self, vec):
+        """Track combination reducing `vec` to zero, or None if outside span."""
+        v, t = vec, 0
+        while v:
+            b = _top_bit(v)
+            if b not in self.rows:
+                return None
+            rv, rt = self.rows[b]
+            v ^= rv
+            t ^= rt
+        return t
+
+
+@dataclass
+class HomologyBasis:
+    """Cycle representatives of H_p plus the data needed for coordinates."""
+
+    p: int
+    simplices: list
+    index: dict
+    cycles: list
+    boundaries: list
+    _coords: _Echelon = field(default=None, repr=False)
+
+    @property
+    def betti(self):
+        return len(self.cycles)
+
+    def coordinates(self, chain):
+        if self._coords is None:
+            ech = _Echelon()
+            for b in self.boundaries:
+                ech.add(b, 0)
+            for i, z in enumerate(self.cycles):
+                ech.add(z, 1 << i)
+            self._coords = ech
+        t = self._coords.express(chain)
+        if t is None:
+            return None
+        return tuple((t >> i) & 1 for i in range(len(self.cycles)))
+
+    def bits_to_chain(self, bits):
+        return [self.simplices[i] for i in range(len(self.simplices)) if (bits >> i) & 1]
+
+
+def _boundary_bits(simplex, index_lower):
+    out = 0
+    for f in itertools.combinations(simplex, len(simplex) - 1):
+        out ^= 1 << index_lower[f]
+    return out
+
+
+def homology_basis(K, p):
+    """Basis of H_p(K) over GF(2), cycles as bitsets over the p-simplices."""
+    sp = K.dim_simplices(p)
+    index = {s: i for i, s in enumerate(sp)}
+    lower = {s: i for i, s in enumerate(K.dim_simplices(p - 1))} if p > 0 else {}
+    kernel = []
+    ech = _Echelon()
+    for j, s in enumerate(sp):
+        bnd = _boundary_bits(s, lower) if p > 0 else 0
+        if bnd == 0:
+            kernel.append(1 << j)
+            continue
+        v, t = bnd, 1 << j
+        while v:
+            b = _top_bit(v)
+            if b not in ech.rows:
+                ech.rows[b] = (v, t)
+                break
+            rv, rt = ech.rows[b]
+            v ^= rv
+            t ^= rt
+        if v == 0:
+            kernel.append(t)
+    boundaries = []
+    img = _Echelon()
+    for s in K.dim_simplices(p + 1):
+        bnd = _boundary_bits(s, index)
+        if img.add(bnd):
+            boundaries.append(bnd)
+    quot = _Echelon()
+    for b in boundaries:
+        quot.add(b)
+    cycles = [z for z in kernel if quot.add(z)]
+    return HomologyBasis(p, sp, index, cycles, boundaries)
+
+
+def induced_map(f, p, basis_dom, basis_cod):
+    """Matrix of H_p(f) in the given bases."""
+    if not f.is_simplicial():
+        raise InvalidInput("map is not simplicial")
+    M = np.zeros((basis_cod.betti, basis_dom.betti), dtype=np.uint8)
+    for j, z in enumerate(basis_dom.cycles):
+        image_bits = 0
+        for s in basis_dom.bits_to_chain(z):
+            t = f.apply(s)
+            if len(t) == p + 1:  # degenerate images vanish in dimension p
+                image_bits ^= 1 << basis_cod.index[t]
+        coords = basis_cod.coordinates(image_bits)
+        assert coords is not None, "image of a cycle is not a cycle"
+        M[:, j] = coords
+    return M
+
+
+def gf2_rank(M):
+    A = (np.array(M, dtype=np.uint8) % 2).copy()
+    if A.size == 0:
+        return 0
+    rank = 0
+    rows, cols = A.shape
+    for c in range(cols):
+        pivot = next((r for r in range(rank, rows) if A[r, c]), None)
+        if pivot is None:
+            continue
+        A[[rank, pivot]] = A[[pivot, rank]]
+        for r in range(rows):
+            if r != rank and A[r, c]:
+                A[r] ^= A[rank]
+        rank += 1
+    return rank
+
+
+def ref_tower_diagram(tower, p):
+    """Diagram of a tower via persistent Betti ranks of induced maps."""
+    m = len(tower.complexes)
+    dgm = PersistenceDiagram()
+    if m == 0:
+        return dgm
+    bases = [homology_basis(K, p) for K in tower.complexes]
+    mats = [induced_map(f, p, bases[i], bases[i + 1]) for i, f in enumerate(tower.maps)]
+    beta = [[0] * m for _ in range(m)]  # rank of H_p(K_i) -> H_p(K_j), j >= i
+    for i in range(m):
+        beta[i][i] = bases[i].betti
+        acc = np.eye(bases[i].betti, dtype=np.uint8)
+        for j in range(i + 1, m):
+            acc = (mats[j - 1] @ acc) % 2
+            beta[i][j] = gf2_rank(acc)
+
+    def b(i, j):
+        return 0 if i < 0 or j < 0 else beta[i][j]
+
+    birth = [0.0 if i == 0 and tower.births_at_zero else s for i, s in enumerate(tower.scales)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            for _ in range(b(i, j - 1) - b(i, j) - b(i - 1, j - 1) + b(i - 1, j)):
+                dgm.add(p, birth[i], tower.scales[j])
+        for _ in range(b(i, m - 1) - b(i - 1, m - 1)):
+            dgm.add(p, birth[i], INF)
+    return dgm
+
+
+def test_ref_gf2_rank():
+    assert gf2_rank(np.array([[1, 1], [1, 1]])) == 1
+    assert gf2_rank(np.eye(3)) == 3
+    assert gf2_rank(np.zeros((2, 2))) == 0
+    assert gf2_rank(np.zeros((0, 4))) == 0
+
+
+def test_ref_betti_numbers():
+    disk = SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)})
+    assert [homology_basis(circle_complex(5), p).betti for p in (0, 1, 2)] == [1, 1, 0]
+    assert [homology_basis(disk, p).betti for p in (0, 1)] == [1, 0]
+    assert homology_basis(SComplex({(0,), (1,), (2,), (0, 1)}), 0).betti == 2
+
+
+def assert_matches_oracle(tower, dims=(0, 1)):
+    for p in dims:
+        assert tower_diagram(tower, p).dim(p) == ref_tower_diagram(tower, p).dim(p), p
+
+
+def hand_built_towers():
+    """The towers built by hand in the tests above."""
+    disk3 = SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)})
+    disk4 = SComplex(
+        {(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (0, 1, 2), (0, 2, 3)}
+    )
+    c3, c4, c5, c6, c8 = (circle_complex(n) for n in (3, 4, 5, 6, 8))
+    half = VertexMap(c8, c4, {i: i // 2 for i in range(8)})
+    return [
+        single(c5),
+        single(disk3),
+        single(SComplex({(0,), (1,), (2,), (0, 1)})),
+        Tower([c6, c6], [identity_map(c6)], [1.0, 2.0]),
+        Tower([c6, disk3], [VertexMap(c6, disk3, {i: i % 3 for i in range(6)})], [1.0, 2.0]),
+        Tower([c8, c4], [half], [1.0, 2.0]),
+        Tower([c8, c4], [VertexMap(c8, c4, {i: -(-i // 2) % 4 for i in range(8)})], [1.0, 2.0]),
+        Tower([c8, c4, disk4], [half, VertexMap(c4, disk4, identity_map(c4).mapping)], [1, 2, 3]),
+        Tower([c5, c5], [identity_map(c5)], [1.0, 2.0]),
+        Tower(
+            [c6, c3, disk3],
+            [VertexMap(c6, c3, {i: i // 2 for i in range(6)}), identity_map(disk3)],
+            [0.5, 1.0, 2.0],
+        ),
+        Tower([c4, c4], [identity_map(c4)], [0.3, 0.9], births_at_zero=True),
+    ]
+
+
+def test_tower_matches_oracle_hand_built():
+    for tower in hand_built_towers():
+        assert_matches_oracle(tower, dims=(0, 1, 2))
+
+
+def _random_complex(rng, labels, probs=(0.45, 0.12, 0.04)):
+    """Random simplices over `labels`: each edge, triangle and tetrahedron
+    kept with its probability, plus every vertex; then the closure."""
+    simplices = {(v,) for v in labels}
+    for k, prob in zip((2, 3, 4), probs):
+        simplices.update(s for s in itertools.combinations(labels, k) if rng.random() < prob)
+    return SComplex(simplices).closure()
+
+
+def random_vertex_map_tower(rng, births_at_zero):
+    """Tower of 2-5 complexes on at most 8 vertices whose maps send each
+    complex onto fewer vertices (fibres of one to several vertices) and
+    whose next complex adds random simplices and fresh vertices to the
+    image."""
+    labels = list(range(int(rng.integers(3, 9))))
+    K = _random_complex(rng, labels)
+    complexes, maps, scales = [K], [], [float(rng.uniform(0.1, 1.0))]
+    for step in range(int(rng.integers(1, 5))):
+        verts = K.vertices()
+        base = 100 * (step + 1)
+        targets = [base + j for j in range(int(rng.integers(1, len(verts) + 1)))]
+        mapping = {x: targets[int(rng.integers(len(targets)))] for x in verts}
+        image = {tuple(sorted({mapping[x] for x in s})) for s in K.simplices}
+        fresh = [base + 50 + j for j in range(int(rng.integers(0, 3)))]
+        extra = _random_complex(rng, sorted(set(mapping.values())) + fresh, (0.25, 0.1, 0.03))
+        L = SComplex(image | extra.simplices)
+        maps.append(VertexMap(K, L, mapping))
+        complexes.append(L)
+        scales.append(scales[-1] + float(rng.uniform(0.1, 1.0)))
+        K = L
+    return Tower(complexes, maps, scales, births_at_zero=births_at_zero)
+
+
+def test_tower_matches_oracle_random_vertex_maps():
+    rng = np.random.default_rng(65)
+    collapses = 0
+    for trial in range(60):
+        tower = random_vertex_map_tower(rng, births_at_zero=trial % 2 == 0)
+        assert all(f.is_simplicial() for f in tower.maps)
+        collapses += sum(len(f.domain.vertices()) - len(set(f.mapping.values())) for f in tower.maps)
+        assert_matches_oracle(tower, dims=(0, 1, 2))
+    assert collapses >= 100
+
+
+def test_tower_matches_oracle_tower2d_workload():
+    # Seeds 0-7 of each of the three slots of the benchmark's tower2d workload.
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["tower2d"]
+    for seed in range(8):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            _, tower, _ = W.op_tower(**args)
+            assert_matches_oracle(tower)
 
 
 # ---------------------------------------------------------------------------
