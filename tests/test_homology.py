@@ -92,31 +92,31 @@ def single(K, scale=1.0):
     return Tower([K], [], [scale])
 
 
-def test_tower_betti_circle():
+def test_basis_circle():
     t = single(circle_complex(5))
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
     assert tower_diagram(t, 1).dim(1) == [(1.0, INF)]
     assert tower_diagram(t, 2).dim(2) == []
 
 
-def test_tower_betti_disk():
+def test_basis_disk():
     t = single(SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}))
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
     assert tower_diagram(t, 1).dim(1) == []
 
 
-def test_tower_betti_two_components():
+def test_basis_two_components():
     t = single(SComplex({(0,), (1,), (2,), (0, 1)}))
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF), (1.0, INF)]
 
 
-def test_tower_identity_keeps_h1():
+def test_induced_identity():
     K = circle_complex(6)
     t = Tower([K, K], [identity_map(K)], [1.0, 2.0])
     assert tower_diagram(t, 1).dim(1) == [(1.0, INF)]
 
 
-def test_tower_collapse_kills_h1():
+def test_induced_collapse_kills_h1():
     # Map a hexagon circle onto a triangle circle filled by a 2-simplex:
     # every fibre has two vertices.
     K = circle_complex(6)
@@ -128,7 +128,7 @@ def test_tower_collapse_kills_h1():
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
 
-def test_contiguous_maps_equal_diagrams():
+def test_contiguous_maps_equal_on_homology():
     # Two contiguous subdivision collapses give the same tower diagrams.
     K = circle_complex(8)
     L = circle_complex(4)
@@ -151,7 +151,7 @@ def test_check_contiguous_negative():
     assert not check_contiguous(f, g)
 
 
-def test_tower_composition():
+def test_induced_functorial():
     # The rank of A -> C through B equals the rank of the composite map
     # A -> C, for a circle map and for one into a disk.
     A = circle_complex(8)
@@ -433,7 +433,7 @@ def ref_tower_diagram(tower, p):
     return dgm
 
 
-def test_ref_gf2_rank():
+def test_gf2_rank():
     assert gf2_rank(np.array([[1, 1], [1, 1]])) == 1
     assert gf2_rank(np.eye(3)) == 3
     assert gf2_rank(np.zeros((2, 2))) == 0
