@@ -18,7 +18,7 @@ from .complexes import cech_filtration
 from .errors import InvalidInput
 from .geometry import meb, meb_of_cells, min_pairwise_distance
 from .homology import SComplex, Tower, VertexMap
-from .quadtree import Cell, Quadtree, qcell
+from .quadtree import Cell, Quadtree, cell_index_of, qcell
 from .wssd import WSSD, _bracket_pow2
 
 
@@ -85,10 +85,10 @@ def build_A(
     Every WST with all cells at height <= h_alpha is projected to the
     grid, and the projected tuple joins the complex if the radius of its
     cell union is at most theta_{k_alpha}.  All nonempty grid cells are
-    vertices regardless.  `rad_cache` maps a projected tuple, as its
-    cells' (height, index) pairs, to the meb radius of its union; a
-    caller building several scales of one WSSD passes one dict to all of
-    them, since that radius does not depend on the scale.
+    vertices regardless.  `rad_cache` maps a projected cell tuple to the
+    meb radius of its union; a caller building several scales of one
+    WSSD passes one dict to all of them, since that radius does not
+    depend on the scale.
     """
     if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
         raise InvalidInput("WSSD must be built with parameter eps/12")
@@ -111,11 +111,10 @@ def build_A(
             continue  # already a vertex
         if mapped in simplices:
             continue
-        key = tuple((c.height, c.index) for c in mapped)
-        rad = rad_cache.get(key)
+        rad = rad_cache.get(mapped)
         if rad is None:
             rad = meb_of_cells(mapped).radius
-            rad_cache[key] = rad
+            rad_cache[mapped] = rad
         if rad <= theta_k:
             simplices.add(mapped)
 
@@ -147,11 +146,7 @@ def map_phi(points, a: ApproxComplex, eps: float, kmax: int = None) -> VertexMap
         kmax = pts.shape[1]
     domain = cech_complex_at(pts, a.alpha / (1.0 + eps), kmax)
     h = a.h
-    mapping = {}
-    for v in domain.vertices():
-        side = 2.0 ** h
-        idx = tuple(int(math.floor(c / side)) for c in pts[v])
-        mapping[v] = Cell(h, idx)
+    mapping = {v: Cell(h, cell_index_of(pts[v], h)) for v in domain.vertices()}
     return VertexMap(domain, a.complex, mapping)
 
 

@@ -45,46 +45,62 @@ def _droppable(pt, c: float) -> bool:
     return death <= c * c * birth * (1.0 + _REL)
 
 
+def perfect_matching(adj: list[list[int]], n_right: int) -> list[int] | None:
+    """Kuhn's augmenting paths on a bipartite graph, depth-first with an
+    explicit stack.
+
+    Left vertex a may take any right vertex in adj[a], tried in list
+    order.  Returns the left partner of each right vertex when every
+    left vertex is matched, else None.
+    """
+    match = [-1] * n_right
+    for root in range(len(adj)):
+        seen = [False] * n_right
+        lefts = [root]  # the left vertex of each open frame
+        frames = [iter(adj[root])]
+        path: list[int] = []  # the right vertex each frame is trying
+        while frames:
+            for b in frames[-1]:
+                if not seen[b]:
+                    seen[b] = True
+                    break
+            else:
+                lefts.pop()
+                frames.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(b)
+            if match[b] == -1:
+                for a, r in zip(lefts, path):
+                    match[r] = a
+                break
+            lefts.append(match[b])
+            frames.append(iter(adj[match[b]]))
+        else:
+            return None
+    return match
+
+
 def _feasible(pts1, pts2, c: float):
     """Perfect matching with per-point diagonal partners; returns the
     matching as a list of (i, j) index pairs or None."""
     n1, n2 = len(pts1), len(pts2)
-    size_a = n1 + n2  # pts1 followed by diagonal partners of pts2
-    size_b = n2 + n1  # pts2 followed by diagonal partners of pts1
-
-    def neighbors(a: int):
-        if a < n1:
-            for j in range(n2):
-                if _compatible(pts1[a], pts2[j], c):
-                    yield j
-            if _droppable(pts1[a], c):
-                yield n2 + a
-        else:
-            j = a - n1  # diagonal partner of pts2[j]
-            if _droppable(pts2[j], c):
-                yield j
-            for b in range(n2, size_b):
-                yield b
-
-    match_b = [-1] * size_b
-
-    def augment(a: int, seen: list[bool]) -> bool:
-        for b in neighbors(a):
-            if seen[b]:
-                continue
-            seen[b] = True
-            if match_b[b] == -1 or augment(match_b[b], seen):
-                match_b[b] = a
-                return True
-        return False
-
-    matched = 0
-    for a in range(size_a):
-        if augment(a, [False] * size_b):
-            matched += 1
-    if matched != size_a:
+    # Left: pts1, then the diagonal partners of pts2.  Right: pts2, then
+    # the diagonal partners of pts1.  Diagonal partners match each other.
+    diagonal = list(range(n2, n2 + n1))
+    adj = []
+    for a, p1 in enumerate(pts1):
+        row = [j for j, p2 in enumerate(pts2) if _compatible(p1, p2, c)]
+        if _droppable(p1, c):
+            row.append(n2 + a)
+        adj.append(row)
+    for j, p2 in enumerate(pts2):
+        adj.append([j] + diagonal if _droppable(p2, c) else diagonal)
+    match = perfect_matching(adj, n2 + n1)
+    if match is None:
         return None
-    return [(match_b[b], b) for b in range(n2) if match_b[b] != -1 and match_b[b] < n1]
+    return [(match[b], b) for b in range(n2) if match[b] < n1]
 
 
 @dataclass

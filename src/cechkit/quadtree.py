@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,12 +22,12 @@ from .errors import DegenerateInput, InvalidInput
 from .geometry import Ball, min_pairwise_distance
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
+class Cell(NamedTuple):
     """Axis-aligned dyadic cube: side 2^height, min corner index*2^height.
 
-    The cell box is half-open for point membership and closed for
-    geometric intersection tests.
+    A cell is its (height, index) key: it hashes, compares and sorts as
+    that tuple.  The cell box is half-open for point membership and
+    closed for geometric intersection tests.
     """
 
     height: int
@@ -41,12 +42,9 @@ class Cell:
         return 2.0 ** self.height
 
     @property
-    def lo(self) -> np.ndarray:
-        return np.asarray(self.index, dtype=float) * self.side
-
-    @property
-    def hi(self) -> np.ndarray:
-        return (np.asarray(self.index, dtype=float) + 1.0) * self.side
+    def lo(self) -> tuple[float, ...]:
+        s = self.side
+        return tuple(i * s for i in self.index)
 
     def diam(self) -> float:
         return self.side * math.sqrt(self.d)
@@ -64,22 +62,29 @@ class Cell:
         return np.array(self.corner_tuples())
 
     def contains_point(self, x) -> bool:
-        return cell_index_of(np.asarray(x, dtype=float), self.height) == self.index
+        return cell_index_of(x, self.height) == self.index
 
     def distance_to_point(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        gap = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
-        return float(np.linalg.norm(gap))
+        s = self.side
+        total = 0.0
+        for i, c in zip(self.index, x):
+            gap = max(i * s - c, c - (i + 1) * s, 0.0)
+            total += gap * gap
+        return math.sqrt(total)
 
     def distance_to_cell(self, other: "Cell") -> float:
-        gap = np.maximum(np.maximum(self.lo - other.hi, other.lo - self.hi), 0.0)
-        return float(np.linalg.norm(gap))
+        s, t = self.side, other.side
+        total = 0.0
+        for i, j in zip(self.index, other.index):
+            gap = max(i * s - (j + 1) * t, j * t - (i + 1) * s, 0.0)
+            total += gap * gap
+        return math.sqrt(total)
 
     def intersects_ball(self, ball: Ball, tol: float = 1e-12) -> bool:
-        return self.distance_to_point(ball.center_array) <= ball.radius + tol
+        return self.distance_to_point(ball.center) <= ball.radius + tol
 
 
-def cell_index_of(x: np.ndarray, h: int) -> tuple[int, ...]:
+def cell_index_of(x, h: int) -> tuple[int, ...]:
     """Lattice index of the height-h cell containing point x."""
     side = 2.0 ** h
     return tuple(int(math.floor(c / side)) for c in x)
@@ -179,9 +184,6 @@ class Quadtree:
     def points_in(self, cell: Cell) -> list[int]:
         return self.level(cell.height).get(cell.index, [])
 
-    def is_nonempty(self, cell: Cell) -> bool:
-        return cell.index in self.level(cell.height)
-
     def rep(self, cell: Cell) -> int:
         """Representative point id: minimum id among contained points.
 
@@ -207,7 +209,7 @@ class Quadtree:
             idx = tuple(base[a] + ((m >> a) & 1) for a in range(self.d))
             if idx in lev:
                 out.append(Cell(h, idx))
-        return sorted(out, key=lambda c: c.index)
+        return sorted(out)
 
     def cell_containing(self, point_id: int, h: int) -> Cell:
         return Cell(h, cell_index_of(self.cloud.points[point_id], h))
@@ -232,7 +234,7 @@ class Quadtree:
                         nxt.append(child)
             frontier = nxt
             height -= 1
-        return sorted(frontier, key=lambda c: c.index)
+        return sorted(frontier)
 
 
 def qcell(q: Cell, i: int) -> Cell:

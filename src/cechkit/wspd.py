@@ -9,7 +9,6 @@ diameter shrinks geometrically while the pair distance stays fixed.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,7 @@ class WSPair:
         return max(self.q.diam(), self.q2.diam()), self.q.distance_to_cell(self.q2)
 
     def key(self):
-        a = (self.q.height, self.q.index)
-        b = (self.q2.height, self.q2.index)
-        return (a, b) if a <= b else (b, a)
+        return (self.q, self.q2) if self.q <= self.q2 else (self.q2, self.q)
 
 
 @dataclass
@@ -60,9 +57,7 @@ def _node_dist(qt: Quadtree, u: Cell, v: Cell) -> float:
     pu = qt.points_in(u)
     pv = qt.points_in(v)
     if len(pu) == 1 and len(pv) == 1:
-        a = qt.cloud.points[pu[0]]
-        b = qt.cloud.points[pv[0]]
-        return float(np.linalg.norm(a - b))
+        return math.dist(qt.cloud.points[pu[0]], qt.cloud.points[pv[0]])
     if len(pu) == 1:
         return v.distance_to_point(qt.cloud.points[pu[0]])
     if len(pv) == 1:
@@ -140,32 +135,39 @@ def build_wspd(qt: Quadtree, eps: float) -> WSPD:
 def wspd_ball_property_check(
     qt: Quadtree, pair: WSPair, eps: float, trials: int, seed: int = 0
 ) -> bool:
-    """Randomized check of the expansion property of well-separated pairs.
-
-    Samples balls containing at least one point of each cell and
-    verifies that the (1 + 2*eps)-expansion swallows both cells.
-    """
-    rng = random.Random(seed)
-    ids_q = qt.points_in(pair.q)
-    ids_q2 = qt.points_in(pair.q2)
-    if not ids_q or not ids_q2:
+    """Randomized check of the expansion property of well-separated pairs:
+    balls meeting both cells, (1 + 2*eps)-expanded, swallow both cells."""
+    if not qt.points_in(pair.q) or not qt.points_in(pair.q2):
         raise InvalidInput("pair cells must be nonempty")
-    pts = qt.cloud.points
-    corners = np.concatenate([pair.q.corners(), pair.q2.corners()], axis=0)
+    return _expansion_sample_check((pair.q, pair.q2), 1.0 + 2.0 * eps, trials, seed)
+
+
+def _expansion_sample_check(cells, factor: float, trials: int, seed: int) -> bool:
+    """Sample balls containing at least one (geometric) point of every
+    cell and check that their `factor`-expansion contains every cell
+    corner.  Sample points are random convex corner combinations, so
+    they always lie inside their cell.
+    """
+    rng = np.random.RandomState(seed)
+    corner_sets = [c.corners() for c in cells]
+    all_corners = np.concatenate(corner_sets, axis=0)
 
     for _ in range(trials):
-        a = pts[rng.choice(ids_q)]
-        b = pts[rng.choice(ids_q2)]
-        base = meb([a, b]).ball
-        # Random enlargement and center jitter keep the anchor points inside.
-        grow = 1.0 + rng.random()
-        shift = (np.random.RandomState(rng.getrandbits(30)).standard_normal(qt.d))
-        shift *= rng.random() * base.radius * (grow - 1.0) / max(np.linalg.norm(shift), 1e-12)
-        ball = Ball(tuple(base.center_array + shift), base.radius * grow)
-        if not (ball.contains(a) and ball.contains(b)):
-            ball = base
-        big = expand(ball, 1.0 + 2.0 * eps)
-        for corner in corners:
+        anchors = []
+        for corners in corner_sets:
+            w = rng.dirichlet(np.ones(corners.shape[0]))
+            anchors.append(w @ corners)
+        base = meb(anchors).ball
+        grow = rng.uniform(0.0, 1.0)
+        shift = rng.standard_normal(len(base.center))
+        norm = float(np.linalg.norm(shift))
+        if norm > 0 and base.radius > 0:
+            shift *= rng.uniform(0.0, 1.0) * base.radius * grow / norm
+        else:
+            shift[:] = 0.0
+        ball = Ball(tuple(base.center_array + shift), base.radius * (1.0 + grow))
+        big = expand(ball, factor)
+        for corner in all_corners:
             if not big.contains(corner):
                 return False
     return True

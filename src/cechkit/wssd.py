@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagram import perfect_matching
 from .errors import InvalidInput
-from .geometry import Ball, MebResult, expand, meb, meb_of_cells
+from .geometry import Ball, MebResult, meb, meb_of_cells
 from .quadtree import Cell, Quadtree
-from .wspd import build_wspd
+from .wspd import _expansion_sample_check, build_wspd
 
 
 def _bracket_pow2(x: float) -> int:
@@ -61,7 +62,7 @@ class WST:
         return self.meb().radius
 
     def key(self):
-        return tuple(sorted((c.height, c.index) for c in self.cells))
+        return tuple(sorted(self.cells))
 
 
 @dataclass
@@ -120,59 +121,13 @@ def covers(t: WST, vertex_points) -> bool:
     allowed = [
         [j for j, cell in enumerate(t.cells) if cell.contains_point(p)] for p in pts
     ]
-    return _has_perfect_matching(allowed, len(t.cells))
-
-
-def _has_perfect_matching(allowed: list[list[int]], n: int) -> bool:
-    match: dict[int, int] = {}
-
-    def try_assign(i: int, seen: set[int]) -> bool:
-        for j in allowed[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match or try_assign(match[j], seen):
-                match[j] = i
-                return True
-        return False
-
-    for i in range(n):
-        if not try_assign(i, set()):
-            return False
-    return True
+    return perfect_matching(allowed, len(t.cells)) is not None
 
 
 def wst_ball_property_check(t: WST, eps: float, trials: int, seed: int = 0) -> bool:
-    """Randomized check of the defining tuple property.
-
-    Samples balls containing at least one (geometric) point of every
-    cell and verifies that the (1+eps)-expansion contains the whole
-    cell union.  Sample points are random convex corner combinations,
-    so they always lie inside their cell.
-    """
-    rng = np.random.RandomState(seed)
-    corner_sets = [c.corners() for c in t.cells]
-    all_corners = np.concatenate(corner_sets, axis=0)
-
-    for _ in range(trials):
-        anchors = []
-        for corners in corner_sets:
-            w = rng.dirichlet(np.ones(corners.shape[0]))
-            anchors.append(w @ corners)
-        base = meb(anchors).ball
-        grow = rng.uniform(0.0, 1.0)
-        shift = rng.standard_normal(len(base.center))
-        norm = float(np.linalg.norm(shift))
-        if norm > 0 and base.radius > 0:
-            shift *= rng.uniform(0.0, 1.0) * base.radius * grow / norm
-        else:
-            shift[:] = 0.0
-        ball = Ball(tuple(base.center_array + shift), base.radius * (1.0 + grow))
-        big = expand(ball, 1.0 + eps)
-        for corner in all_corners:
-            if not big.contains(corner):
-                return False
-    return True
+    """Randomized check of the defining tuple property: balls meeting
+    every cell, (1+eps)-expanded, contain the whole cell union."""
+    return _expansion_sample_check(t.cells, 1.0 + eps, trials, seed)
 
 
 def removable_point_check(points) -> int:

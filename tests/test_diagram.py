@@ -1,16 +1,26 @@
 """Multiplicative diagram comparison and log-bottleneck distance."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cechkit.complexes import cech_filtration
-from cechkit.diagram import bottleneck_log, is_c_approximation
+from cechkit.diagram import (
+    _candidates,
+    _compatible,
+    _droppable,
+    _feasible,
+    bottleneck_log,
+    is_c_approximation,
+    perfect_matching,
+)
 from cechkit.errors import InvalidInput
 from cechkit.homology import INF, PersistenceDiagram, persist_filtration
 
-from conftest import random_cloud
+from conftest import bench_module, random_cloud
 
 
 def dgm(p, pts):
@@ -121,3 +131,102 @@ def test_witness_covers_all_offdiagonal_points():
     assert rep.matched
     matched_left = {p for p, _ in rep.witness[1]}
     assert (1.0, 3.0) in matched_left  # the far point must be matched, not dropped
+
+
+def ref_feasible(pts1, pts2, c):
+    # the recursive Kuhn matcher `_feasible` ran before the explicit-stack
+    # `perfect_matching`; kept as the reference for matchings and witnesses
+    n1, n2 = len(pts1), len(pts2)
+    size_a = n1 + n2
+    size_b = n2 + n1
+
+    def neighbors(a):
+        if a < n1:
+            for j in range(n2):
+                if _compatible(pts1[a], pts2[j], c):
+                    yield j
+            if _droppable(pts1[a], c):
+                yield n2 + a
+        else:
+            j = a - n1
+            if _droppable(pts2[j], c):
+                yield j
+            for b in range(n2, size_b):
+                yield b
+
+    match_b = [-1] * size_b
+
+    def augment(a, seen):
+        for b in neighbors(a):
+            if seen[b]:
+                continue
+            seen[b] = True
+            if match_b[b] == -1 or augment(match_b[b], seen):
+                match_b[b] = a
+                return True
+        return False
+
+    matched = 0
+    for a in range(size_a):
+        if augment(a, [False] * size_b):
+            matched += 1
+    if matched != size_a:
+        return None
+    return [(match_b[b], b) for b in range(n2) if match_b[b] != -1 and match_b[b] < n1]
+
+
+@pytest.mark.parametrize("npts", [10, 20, 40, 60, 80])
+def test_feasible_matches_recursive_reference(npts):
+    W = bench_module("workloads")
+    rng = np.random.default_rng(npts)
+    for _ in range(2):
+        planted = float(rng.uniform(1.05, 1.5))
+        a, b = W.planted_pair(rng, npts, planted)
+        d1 = PersistenceDiagram.from_json_obj(a)
+        d2 = PersistenceDiagram.from_json_obj(b)
+        best = math.exp(bottleneck_log(d1, d2))
+        outcomes = set()
+        for p in d1.dims():
+            pts1, pts2 = d1.dim(p), d2.dim(p)
+            cands = _candidates(pts1, pts2)
+            for c in [1.0, best * (1.0 - 1e-9), best, planted, cands[len(cands) // 2], cands[-1]]:
+                got = _feasible(pts1, pts2, c)
+                assert got == ref_feasible(pts1, pts2, c), (npts, p, c)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+def _brute_force_matchable(adj, n_right):
+    return any(
+        all(b in adj[a] for a, b in enumerate(perm))
+        for perm in itertools.permutations(range(n_right), len(adj))
+    )
+
+
+def test_perfect_matching_agrees_with_brute_force():
+    rng = np.random.default_rng(91)
+    found = 0
+    for _ in range(240):
+        n_left, n_right = (int(x) for x in rng.integers(1, 8, size=2))
+        density = float(rng.uniform(0.1, 0.7))
+        adj = [
+            [b for b in rng.permutation(n_right).tolist() if rng.random() < density]
+            for _ in range(n_left)
+        ]
+        match = perfect_matching(adj, n_right)
+        assert (match is not None) == _brute_force_matchable(adj, n_right), adj
+        if match is not None:
+            found += 1
+            assert len(match) == n_right
+            assert sorted(a for a in match if a != -1) == list(range(n_left))
+            assert all(b in adj[a] for b, a in enumerate(match) if a != -1)
+    assert 40 <= found <= 200
+
+
+def test_perfect_matching_augments_past_the_recursion_limit():
+    # Roots 0..n-2 take right vertex i; root n-1 can only take right 0,
+    # which shifts every earlier root one place along the chain.
+    n = max(3000, 3 * sys.getrecursionlimit())
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    match = perfect_matching(adj, n)
+    assert match == [n - 1] + list(range(n - 1))

@@ -219,19 +219,23 @@ def test_tower_births_at_zero():
 
 
 def test_tower_multiplicities_nonnegative_random():
-    # mu >= 0 is implicit in tower_diagram; check the diagram reproduces
-    # the persistent Betti ranks it was built from.
+    # The diagram must reproduce the persistent Betti ranks: the H1 points
+    # born by scale i and dead after scale j number rank H1(K_i) -> H1(K_j),
+    # computed here with the rank-based oracle below.
     rng = np.random.default_rng(63)
     pts = random_cloud(rng, 7, 2)
     filt = cech_filtration(pts, 3)
     t = filtration_tower(filt)
     dgm = tower_diagram(t, 1)
+    bases = [homology_basis(K, 1) for K in t.complexes]
+    assert max(b.betti for b in bases) > 0
     for i, a in enumerate(t.scales):
+        f = identity_map(t.complexes[i])
         for j in range(i, len(t.scales)):
-            alive = sum(
-                1 for b, d in dgm.dim(1) if b <= a and d > t.scales[j]
-            )
-            assert alive >= 0
+            if j > i:
+                f = t.maps[j - 1].compose(f)
+            alive = sum(1 for b, d in dgm.dim(1) if b <= a and d > t.scales[j])
+            assert alive == gf2_rank(induced_map(f, 1, bases[i], bases[j])), (i, j)
 
 
 def test_tower_matches_filtration_persistence():

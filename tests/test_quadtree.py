@@ -144,3 +144,84 @@ def test_nonempty_cells_intersecting_matches_bruteforce():
             key=lambda c: c.index,
         )
         assert got == want
+
+
+# numpy copies of the per-cell geometry before it moved to Python floats;
+# the reference for the scalar versions below
+def ref_lo_hi(cell):
+    lo = np.asarray(cell.index, dtype=float) * cell.side
+    return lo, lo + cell.side
+
+
+def ref_distance_to_point(cell, x):
+    lo, hi = ref_lo_hi(cell)
+    x = np.asarray(x, dtype=float)
+    return float(np.linalg.norm(np.maximum(np.maximum(lo - x, x - hi), 0.0)))
+
+
+def ref_distance_to_cell(cell, other):
+    lo, hi = ref_lo_hi(cell)
+    olo, ohi = ref_lo_hi(other)
+    return float(np.linalg.norm(np.maximum(np.maximum(lo - ohi, olo - hi), 0.0)))
+
+
+def ref_contains_point(cell, x):
+    return cell_index_of(np.asarray(x, dtype=float), cell.height) == cell.index
+
+
+def ref_intersects_ball(cell, ball, tol=1e-12):
+    return ref_distance_to_point(cell, ball.center_array) <= ball.radius + tol
+
+
+def _probe_point(rng, cell):
+    # per axis: a face, the middle, or a random spot up to two sides away,
+    # so faces, edges and corners all come up
+    lo, hi = ref_lo_hi(cell)
+    out = []
+    for a in range(cell.d):
+        pick = int(rng.integers(0, 4))
+        if pick == 0:
+            out.append(float(lo[a]))
+        elif pick == 1:
+            out.append(float(hi[a]))
+        else:
+            out.append(float(rng.uniform(lo[a] - 2 * cell.side, hi[a] + 2 * cell.side)))
+    return out
+
+
+def test_cell_geometry_matches_numpy_reference():
+    rng = np.random.default_rng(61)
+    on_corner = 0
+    for _ in range(400):
+        d = int(rng.integers(1, 5))
+        cell = Cell(int(rng.integers(-3, 5)), tuple(int(i) for i in rng.integers(-6, 7, size=d)))
+        lo, hi = ref_lo_hi(cell)
+        assert cell.lo == tuple(lo)
+        for _ in range(6):
+            x = _probe_point(rng, cell)
+            on_corner += all(x[a] in (lo[a], hi[a]) for a in range(d))
+            want = ref_distance_to_point(cell, x)
+            assert abs(cell.distance_to_point(x) - want) <= 1e-12
+            assert cell.contains_point(x) == ref_contains_point(cell, x)
+            for radius in (want, 0.5 * want, 2.0 * want + 1e-3, 0.0):
+                ball = Ball(tuple(x), radius)
+                assert cell.intersects_ball(ball) == ref_intersects_ball(cell, ball)
+            h = int(rng.integers(-3, 5))
+            near = tuple(int(math.floor(v / 2.0**h)) + int(rng.integers(-2, 3)) for v in x)
+            other = Cell(h, near)
+            want = ref_distance_to_cell(cell, other)
+            assert abs(cell.distance_to_cell(other) - want) <= 1e-12
+            assert abs(other.distance_to_cell(cell) - want) <= 1e-12
+    assert on_corner > 50
+
+
+def test_cell_is_its_key():
+    rng = np.random.default_rng(62)
+    cells = [
+        Cell(int(rng.integers(-3, 5)), tuple(int(i) for i in rng.integers(-3, 4, size=2)))
+        for _ in range(60)
+    ]
+    for c in cells:
+        key = (c.height, c.index)
+        assert c == key and hash(c) == hash(key)
+    assert sorted(cells) == sorted((c.height, c.index) for c in cells)
