@@ -2,13 +2,20 @@
 
 Scales are discretized into intervals [theta_l, theta_{l+1}) with
 theta_l = (1 + eps/2)^l; the complex is constant on each interval, so a
-tower evaluated at the theta values captures the whole module.  The
-construction consumes a WSSD built at eps/12, exactly as the analysis
-requires.
+tower evaluated at the theta values captures the whole module.
+
+The complex at scale alpha is D_alpha (see `build_A`).  It equals the
+paper's projection of an eps/12-WSSD to the grid on every cloud checked,
+and geometry alone interleaves it with the Cech tower:
+- psi: a cell's representative point lies in the cell;
+- phi: meb(cells) <= r + sqrt(d) 2^h < theta_k ((1+eps/2)/(1+eps) + eps/3),
+  which is <= theta_k for eps <= 1/2;
+- g: theta_k + eps theta_{k+1}/3 <= theta_{k+1} for every eps < 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +41,9 @@ class ScaleParams:
     k_alpha: int
     h_alpha: int
 
-    def theta(self, ell: int) -> float:
-        return theta_value(self.eps, ell)
-
     @property
     def theta_k(self) -> float:
-        return self.theta(self.k_alpha)
+        return theta_value(self.eps, self.k_alpha)
 
 
 def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
@@ -72,56 +76,52 @@ class ApproxComplex:
 
 
 def build_A(
-    qt: Quadtree,
-    wssd: WSSD,
-    alpha: float,
-    eps: float,
-    check_closure: bool = True,
-    *,
-    rad_cache: dict | None = None,
+    qt: Quadtree, wssd: WSSD, alpha: float, eps: float, *, rad_cache: dict | None = None
 ) -> ApproxComplex:
-    """Approximation complex at scale alpha from an eps/12-WSSD.
+    """D_alpha: the nonempty height-h_alpha cells, and every tuple of up to
+    wssd.kmax + 1 of them whose union has meb radius <= theta_{k_alpha}.
 
-    Every WST with all cells at height <= h_alpha is projected to the
-    grid, and the projected tuple joins the complex if the radius of its
-    cell union is at most theta_{k_alpha}.  All nonempty grid cells are
-    vertices regardless.  `rad_cache` maps a projected cell tuple to the
-    meb radius of its union; a caller building several scales of one
-    WSSD passes one dict to all of them, since that radius does not
-    depend on the scale.
+    Sorted tuples grow one cell at a time and are tried only when all
+    their facets are in, so the complex is closed by construction.  Only
+    kmax is read from the WSSD, which must be built at eps/12.  One
+    `rad_cache` (cell tuple -> meb radius of its union) serves all scales.
     """
     if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
         raise InvalidInput("WSSD must be built with parameter eps/12")
     params = scale_params(alpha, eps, qt.d)
     h, theta_k = params.h_alpha, params.theta_k
-
-    simplices: set[tuple[Cell, ...]] = set()
-    for idx in qt.level(h):
-        simplices.add((Cell(h, idx),))
-
     if rad_cache is None:
         rad_cache = {}
-    for t in wssd.all_tuples():
-        if any(c.height > h for c in t.cells):
-            continue
-        if t.rad > theta_k:  # projected radius only grows
-            continue
-        mapped = tuple(sorted({qcell(c, h) for c in t.cells}))
-        if len(mapped) == 1:
-            continue  # already a vertex
-        if mapped in simplices:
-            continue
-        rad = rad_cache.get(mapped)
-        if rad is None:
-            rad = meb_of_cells(mapped).radius
-            rad_cache[mapped] = rad
-        if rad <= theta_k:
-            simplices.add(mapped)
 
-    K = SComplex(simplices)
-    if check_closure and not K.is_closed():
-        raise AssertionError("approximation complex is not closed under faces")
-    return ApproxComplex(alpha, params, K)
+    # The cells of a simplex are within 2 theta_k <= 2^top of each other,
+    # so their ancestors at height `top` are equal or adjacent.
+    top = _bracket_pow2(2.0 * theta_k) + 1
+    buckets: dict = {}
+    for c in qt.cells_at(h):
+        buckets.setdefault(qcell(c, top).index, []).append(c)
+    offsets = list(itertools.product((-1, 0, 1), repeat=qt.d))
+    later = {}  # cell -> the larger cells in its own and adjacent buckets
+    for a, group in buckets.items():
+        near = [c for o in offsets for c in buckets.get(tuple(map(sum, zip(a, o))), ())]
+        for c in group:
+            later[c] = sorted(x for x in near if x > c)
+
+    layer = [(c,) for c in later]
+    simplices = set(layer)
+    for _ in range(wssd.kmax):
+        grown = []
+        for s in layer:
+            for c in later[s[-1]]:
+                t = s + (c,)
+                if not all(f in simplices for f in itertools.combinations(t, len(s))):
+                    continue
+                if t not in rad_cache:
+                    rad_cache[t] = meb_of_cells(t).radius
+                if rad_cache[t] <= theta_k:
+                    grown.append(t)
+        simplices.update(grown)
+        layer = grown
+    return ApproxComplex(alpha, params, SComplex(simplices))
 
 
 def map_g(a1: ApproxComplex, a2: ApproxComplex) -> VertexMap:
@@ -183,7 +183,7 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
     if ell_max < ell_min:
         raise InvalidInput("empty scale range")
     scales = [theta_value(eps, ell) for ell in range(ell_min, ell_max + 1)]
-    rad_cache: dict = {}  # projected-tuple radii, shared by every scale
+    rad_cache: dict = {}  # cell-tuple radii, shared by every scale
     complexes = [build_A(qt, wssd, s, eps, rad_cache=rad_cache) for s in scales]
     maps = [
         map_g(complexes[i], complexes[i + 1]) for i in range(len(complexes) - 1)

@@ -119,15 +119,13 @@ def cmd_approx(args) -> dict:
     cloud = quadtree.normalize(pts)
     qt = quadtree.build(cloud)
     decomposition = wssd.build_wssd(qt, args.eps / 12.0, args.kmax)
-    if args.ell_min is not None and args.ell_max is not None:
-        rng = (args.ell_min, args.ell_max)
-    else:
-        rng = approx.tower_scale_range(qt, args.eps)
+    lo, hi = approx.tower_scale_range(qt, args.eps)
+    rng = (
+        lo if args.ell_min is None else args.ell_min,
+        hi if args.ell_max is None else args.ell_max,
+    )
     tower = approx.build_tower(qt, decomposition, args.eps, rng)
-    dgm = homology.PersistenceDiagram()
-    for p in range(args.pmax + 1):
-        for b, d_ in homology.tower_diagram(tower, p).dim(p):
-            dgm.add(p, b, d_)
+    dgm = homology.tower_diagram(tower, args.pmax)
     return {
         "command": "approx",
         "eps": args.eps,
@@ -218,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=0.5)
         p.add_argument("--kmax", type=int, default=2)
         p.add_argument("--pmax", type=int, default=1)
-        p.add_argument("--ell-min", dest="ell_min", type=int, default=None)
-        p.add_argument("--ell-max", dest="ell_max", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
@@ -239,6 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump-tuples", action="store_true")
         if name == "coreset":
             p.add_argument("--kind", choices=["radius", "meb"], default="radius")
+        if name == "approx":
+            p.add_argument("--ell-min", dest="ell_min", type=int, default=None)
+            p.add_argument("--ell-max", dest="ell_max", type=int, default=None)
 
     p = sub.add_parser("compare")
     p.add_argument("dgm_a")

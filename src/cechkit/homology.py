@@ -271,12 +271,11 @@ def _coned_filtration(tower: Tower) -> dict:
     return value
 
 
-def tower_diagram(tower: Tower, p: int) -> PersistenceDiagram:
-    """Diagram of a tower in dimension p, by column reduction of its
-    coned filtration cut at dimension p+1."""
-    entries = [(s, v) for s, v in _coned_filtration(tower).items() if len(s) <= p + 2]
-    dgm = persist_filtration(Filtration(entries), p)
-    return PersistenceDiagram({p: dgm.points[p]} if p in dgm.points else {})
+def tower_diagram(tower: Tower, pmax: int) -> PersistenceDiagram:
+    """Diagram of a tower in every dimension <= pmax, by column reduction
+    of its coned filtration cut at dimension pmax+1."""
+    entries = [(s, v) for s, v in _coned_filtration(tower).items() if len(s) <= pmax + 2]
+    return persist_filtration(Filtration(entries), pmax)
 
 
 def filtration_tower(filt) -> Tower:

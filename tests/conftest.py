@@ -1,9 +1,17 @@
 import importlib.util
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# Hypothesis caches the literals it finds in local source files under its
+# storage directory, even with database=None; keep that cache out of the
+# working tree, in a directory removed when the test run exits.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_HOME.name)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -1,11 +1,15 @@
 """Grid approximation complexes and the maps connecting them."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechkit.approx import (
+    ApproxComplex,
     build_A,
     build_tower,
     cech_complex_at,
@@ -18,11 +22,11 @@ from cechkit.approx import (
 )
 from cechkit.errors import InvalidInput
 from cechkit.geometry import meb_of_cells
-from cechkit.homology import INF, check_contiguous, tower_diagram
+from cechkit.homology import INF, SComplex, Tower, check_contiguous, tower_diagram
 from cechkit.quadtree import build, normalize, qcell
 from cechkit.wssd import build_wssd
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, bench_module, random_cloud
 
 
 def make(pts, eps, kmax=None):
@@ -227,6 +231,102 @@ def test_build_tower_shared_cache_matches_independent_build_A(kind, eps):
         tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
         for theta, K in zip(tower.scales, tower.complexes):
             assert K.simplices == build_A(qt, dec, theta, eps).complex.simplices
+
+
+# ---------------------------------------------------------------------------
+# oracles: the paper's WSSD projection and brute-force D_alpha
+
+def ref_build_A(qt, wssd, alpha, eps, rad_cache):
+    """The paper's construction: every WST with all cells at height
+    <= h_alpha is projected to the grid, and the projected tuple joins
+    the complex if the meb radius of its cell union is <= theta_k."""
+    params = scale_params(alpha, eps, qt.d)
+    h, theta_k = params.h_alpha, params.theta_k
+    simplices = {(c,) for c in qt.cells_at(h)}
+    for t in wssd.all_tuples():
+        if any(c.height > h for c in t.cells) or t.rad > theta_k:
+            continue
+        mapped = tuple(sorted({qcell(c, h) for c in t.cells}))
+        if len(mapped) == 1 or mapped in simplices:
+            continue
+        if mapped not in rad_cache:
+            rad_cache[mapped] = meb_of_cells(mapped).radius
+        if rad_cache[mapped] <= theta_k:
+            simplices.add(mapped)
+    return ApproxComplex(alpha, params, SComplex(simplices))
+
+
+def brute_D(qt, kmax, alpha, eps, rad_cache):
+    """D_alpha by definition: every tuple of 2..kmax+1 nonempty
+    height-h_alpha cells whose union has meb radius <= theta_k."""
+    params = scale_params(alpha, eps, qt.d)
+    cells = qt.cells_at(params.h_alpha)
+    out = {(c,) for c in cells}
+    for size in range(2, kmax + 2):
+        for t in itertools.combinations(cells, size):
+            if t not in rad_cache:
+                rad_cache[t] = meb_of_cells(t).radius
+            if rad_cache[t] <= params.theta_k:
+                out.add(t)
+    return out
+
+
+def assert_tower_matches_oracles(pts, eps, kmax):
+    qt, dec = make(pts, eps, kmax=kmax)
+    lo, hi = tower_scale_range(qt, eps)
+    tower = build_tower(qt, dec, eps, (lo, hi))
+    ref_cache, brute_cache = {}, {}
+    ref = [ref_build_A(qt, dec, theta_value(eps, ell), eps, ref_cache) for ell in range(lo, hi + 1)]
+    for ell, K, a in zip(range(lo, hi + 1), tower.complexes, ref):
+        assert K.simplices == a.complex.simplices, ell
+        assert K.simplices == brute_D(qt, kmax, a.alpha, eps, brute_cache), ell
+    return tower, ref
+
+
+def test_tower2d_seeds_match_projection():
+    # Seeds 0-7 of the benchmark's three tower2d slots: complexes at every
+    # scale equal the projection's and D_alpha, the tower diagrams equal
+    # the projection's, and one diagram call up to H1 gives the H0 of a
+    # call for H0 alone.
+    wl = bench_module("workloads").WORKLOADS["tower2d"]
+    for seed in range(8):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            tower, ref = assert_tower_matches_oracles(args["points"], args["eps"], 2)
+            maps = [map_g(a, b) for a, b in zip(ref, ref[1:])]
+            ref_tower = Tower([a.complex for a in ref], maps, tower.scales, tower.births_at_zero)
+            dgm = tower_diagram(tower, 1)
+            assert dgm == tower_diagram(ref_tower, 1), (seed, index)
+            assert dgm.dim(0) == tower_diagram(tower, 0).dim(0), (seed, index)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.9])
+def test_planar_towers_match_projection_and_brute_force(eps):
+    rng = np.random.default_rng([81, int(eps * 100)])
+    for n in (6, 8, 9):
+        assert_tower_matches_oracles(random_cloud(rng, n, 2), eps, 2)
+
+
+def test_r3_towers_match_projection_and_brute_force():
+    rng = np.random.default_rng(82)
+    for _ in range(3):
+        assert_tower_matches_oracles(random_cloud(rng, 8, 3), 0.5, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=3, max_size=8, unique=True
+    ),
+    st.floats(0.1, 0.5),
+)
+def test_build_A_is_D_alpha_and_g_simplicial(grid_points, eps):
+    qt, dec = make(np.array(grid_points, dtype=float), eps)
+    tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+    cache: dict = {}
+    for theta, K in zip(tower.scales, tower.complexes):
+        assert K.simplices == brute_D(qt, 2, theta, eps, cache)
+    assert all(g.is_simplicial() for g in tower.maps)
 
 
 def test_cech_complex_at_threshold():

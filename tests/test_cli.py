@@ -104,6 +104,31 @@ def test_approx_triangle(capsys, triangle_file):
     assert [pt for pt in h0 if pt[1] == "inf"] == [[0.0, "inf"]]
 
 
+def test_approx_lone_ell_flag_replaces_its_own_end(capsys, triangle_file):
+    code, rep = run(capsys, ["approx", triangle_file])
+    assert code == 0
+    lo, hi = rep["ell_range"]
+    code, rep = run(capsys, ["approx", triangle_file, "--ell-min", str(lo + 2)])
+    assert code == 0
+    assert rep["ell_range"] == [lo + 2, hi]
+    assert len(rep["scales"]) == hi - lo - 1
+    code, rep = run(capsys, ["approx", triangle_file, "--ell-max", str(hi - 1)])
+    assert code == 0
+    assert rep["ell_range"] == [lo, hi - 1]
+    code, rep = run(capsys, ["approx", triangle_file, "--ell-min", "0", "--ell-max", "3"])
+    assert code == 0
+    assert rep["ell_range"] == [0, 3]
+
+
+@pytest.mark.parametrize("command", ["cech", "rips", "completion", "wssd", "coreset", "validate"])
+def test_ell_flags_only_on_approx(capsys, triangle_file, command):
+    for flag in ("--ell-min", "--ell-max"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, triangle_file, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_coreset_kinds(capsys, triangle_file):
     code, rep = run(capsys, ["coreset", triangle_file, "--eps", "0.2", "--kind", "meb"])
     assert code == 0
