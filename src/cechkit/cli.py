@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import approx, complexes, coreset, diagram, homology, quadtree, wssd
-from .errors import CechkitError, ParseError
+from .errors import CechkitError, InvalidInput, ParseError
 
 
 def load_points(path: str) -> np.ndarray:
@@ -61,28 +61,29 @@ def _diagram_json(dgm):
 
 def cmd_cech(args) -> dict:
     pts = load_points(args.input)
-    filt = complexes.cech_filtration(pts, args.kmax)
+    filt = complexes.cech_filtration(pts, args.pmax + 1)
     dgm = homology.persist_filtration(filt, args.pmax)
     return {"command": "cech", "n": int(pts.shape[0]), "diagram": _diagram_json(dgm)}
 
 
 def cmd_rips(args) -> dict:
     pts = load_points(args.input)
-    filt = complexes.rips_filtration(pts, args.kmax)
+    filt = complexes.rips_filtration(pts, args.pmax + 1)
     dgm = homology.persist_filtration(filt, args.pmax)
     return {"command": "rips", "n": int(pts.shape[0]), "diagram": _diagram_json(dgm)}
 
 
 def cmd_completion(args) -> dict:
     pts = load_points(args.input)
-    n = pts.shape[0]
-    filt = complexes.cech_filtration(pts, n - 1)
-    comp = complexes.completion(filt, coreset.delta(args.eps) - 1, n - 1)
+    dlt, top = coreset.delta(args.eps), args.pmax + 1
+    # Up to dimension top the (dlt-1)-completion is the min(dlt-1, top)-completion.
+    filt = complexes.cech_filtration(pts, top)
+    comp = complexes.completion(filt, min(dlt - 1, top), top)
     dgm = homology.persist_filtration(comp, args.pmax)
     base = homology.persist_filtration(filt, args.pmax)
     return {
         "command": "completion",
-        "delta": coreset.delta(args.eps),
+        "delta": dlt,
         "diagram": _diagram_json(dgm),
         "log_bottleneck_vs_cech": diagram.bottleneck_log(dgm, base),
     }
@@ -118,7 +119,9 @@ def cmd_approx(args) -> dict:
     pts = load_points(args.input)
     cloud = quadtree.normalize(pts)
     qt = quadtree.build(cloud)
-    decomposition = wssd.build_wssd(qt, args.eps / 12.0, args.kmax)
+    if not 0 <= args.pmax < qt.d:
+        raise InvalidInput(f"approx needs 0 <= pmax < d={qt.d}, got pmax={args.pmax}")
+    decomposition = wssd.build_wssd(qt, args.eps / 12.0, args.pmax + 1)
     lo, hi = approx.tower_scale_range(qt, args.eps)
     rng = (
         lo if args.ell_min is None else args.ell_min,
@@ -210,34 +213,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cechkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input")
-        p.add_argument("--eps", type=float, default=0.5)
-        p.add_argument("--kmax", type=int, default=2)
-        p.add_argument("--pmax", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-
-    for name, fn in [
-        ("cech", cmd_cech),
-        ("rips", cmd_rips),
-        ("completion", cmd_completion),
-        ("wssd", cmd_wssd),
-        ("approx", cmd_approx),
-        ("coreset", cmd_coreset),
-        ("validate", cmd_validate),
+    flags = {
+        "--eps": dict(type=float, default=0.5),
+        "--kmax": dict(type=int, default=2),
+        "--pmax": dict(type=int, default=1),
+        "--seed": dict(type=int, default=0),
+        "--dump-tuples": dict(action="store_true"),
+        "--kind": dict(choices=["radius", "meb"], default="radius"),
+        "--ell-min": dict(type=int, default=None),
+        "--ell-max": dict(type=int, default=None),
+    }
+    for name, fn, names in [
+        ("cech", cmd_cech, ["--pmax"]),
+        ("rips", cmd_rips, ["--pmax"]),
+        ("completion", cmd_completion, ["--eps", "--pmax"]),
+        ("wssd", cmd_wssd, ["--eps", "--kmax", "--dump-tuples"]),
+        ("approx", cmd_approx, ["--eps", "--pmax", "--ell-min", "--ell-max"]),
+        ("coreset", cmd_coreset, ["--eps", "--kind"]),
+        ("validate", cmd_validate, ["--eps", "--seed"]),
     ]:
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("input")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
-        if name == "wssd":
-            p.add_argument("--dump-tuples", action="store_true")
-        if name == "coreset":
-            p.add_argument("--kind", choices=["radius", "meb"], default="radius")
-        if name == "approx":
-            p.add_argument("--ell-min", dest="ell_min", type=int, default=None)
-            p.add_argument("--ell-max", dest="ell_max", type=int, default=None)
 
     p = sub.add_parser("compare")
     p.add_argument("dgm_a")

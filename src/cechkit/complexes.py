@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import TAU_GEOM, circumball, covers, meb
+from .geometry import TAU_GEOM, _as_points, circumball, covers, meb
 
 
 def _entry_key(entry):
@@ -87,7 +87,7 @@ def cech_filtration(points, kmax: int) -> Filtration:
     rounding, and inheriting a ball that holds its vertex only up to the
     slack, could otherwise leave a facet a hair above its coface.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _as_points(points)
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n, d = pts.shape
@@ -132,7 +132,7 @@ def _all_support_ball(vertices: list[tuple[float, ...]], d: int):
 
 def rips_filtration(points, kmax: int) -> Filtration:
     """Filtration value of each simplex is the diameter of its vertices."""
-    pts = np.asarray(points, dtype=float)
+    pts = _as_points(points)
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n = pts.shape[0]

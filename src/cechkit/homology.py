@@ -2,6 +2,8 @@
 
 One engine, ``persist_filtration``: classical boundary-matrix column
 reduction of a filtration, columns stored as Python ints (bitsets).  A
+diagram up to dimension pmax reads only the (pmax+1)-skeleton, so that
+is all it reduces; callers may pass a filtration of any dimension.  A
 tower of complexes connected by simplicial vertex maps is first turned
 into a filtration with the same diagram, by coning off each vertex
 collapse (``tower_diagram``).
@@ -143,10 +145,13 @@ class PersistenceDiagram:
 
 
 def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
-    """Standard GF(2) column reduction of a filtration's boundary matrix."""
+    """Diagram in every dimension <= pmax: GF(2) column reduction of the
+    boundary matrix of the (pmax+1)-skeleton.  Reduction adds a column
+    only to columns of its own dimension, so higher simplices cannot
+    change those pairs.  Face-monotonicity is checked on every entry."""
     if not filt.is_face_monotone():
         raise InvalidInput("filtration is not face-monotone")
-    entries = filt.entries
+    entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
     position = {s: i for i, (s, _) in enumerate(entries)}
 
     columns: list[int] = []
@@ -273,9 +278,8 @@ def _coned_filtration(tower: Tower) -> dict:
 
 def tower_diagram(tower: Tower, pmax: int) -> PersistenceDiagram:
     """Diagram of a tower in every dimension <= pmax, by column reduction
-    of its coned filtration cut at dimension pmax+1."""
-    entries = [(s, v) for s, v in _coned_filtration(tower).items() if len(s) <= pmax + 2]
-    return persist_filtration(Filtration(entries), pmax)
+    of its coned filtration."""
+    return persist_filtration(Filtration(list(_coned_filtration(tower).items())), pmax)
 
 
 def filtration_tower(filt) -> Tower:

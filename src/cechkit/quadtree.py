@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-from .geometry import Ball, min_pairwise_distance
+from .geometry import Ball, _as_points, min_pairwise_distance
 
 
 class Cell(NamedTuple):
@@ -118,13 +118,7 @@ def normalize(raw_points) -> NormalizedCloud:
     scaled bounding box; L is bumped once if a point would land exactly
     on the open upper face.
     """
-    pts = np.asarray(raw_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.size == 0:
-        raise InvalidInput("empty point set")
-    if not np.isfinite(pts).all():
-        raise InvalidInput("non-finite coordinate")
+    pts = _as_points(raw_points)
     n, d = pts.shape
 
     offset = pts.min(axis=0).copy()

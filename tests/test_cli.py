@@ -2,14 +2,16 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from cechkit import complexes, coreset, diagram, homology
 from cechkit.cli import load_points, main
 from cechkit.errors import ParseError
 
-from conftest import TRIANGLE
+from conftest import TRIANGLE, random_cloud
 
 
 @pytest.fixture
@@ -59,7 +61,7 @@ def test_load_points_errors(tmp_path):
 # subcommands
 
 def test_cech_triangle(capsys, triangle_file):
-    code, rep = run(capsys, ["cech", triangle_file, "--kmax", "2", "--pmax", "1"])
+    code, rep = run(capsys, ["cech", triangle_file, "--pmax", "1"])
     assert code == 0
     h1 = next(b["points"] for b in rep["diagram"] if b["p"] == 1)
     assert len(h1) == 1
@@ -68,7 +70,7 @@ def test_cech_triangle(capsys, triangle_file):
 
 
 def test_rips_triangle(capsys, triangle_file):
-    code, rep = run(capsys, ["rips", triangle_file, "--kmax", "2", "--pmax", "1"])
+    code, rep = run(capsys, ["rips", triangle_file, "--pmax", "1"])
     assert code == 0
     h1 = next((b["points"] for b in rep["diagram"] if b["p"] == 1), [])
     assert h1 == []  # edges and triangle enter together
@@ -129,6 +131,78 @@ def test_ell_flags_only_on_approx(capsys, triangle_file, command):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("cech", "--eps"), ("cech", "--seed"),
+        ("rips", "--eps"), ("rips", "--seed"),
+        ("completion", "--kmax"), ("completion", "--seed"),
+        ("wssd", "--pmax"), ("wssd", "--seed"),
+        ("approx", "--seed"),
+        ("coreset", "--kmax"), ("coreset", "--pmax"), ("coreset", "--seed"),
+        ("validate", "--kmax"), ("validate", "--pmax"),
+    ],
+)
+def test_command_rejects_flags_it_does_not_read(capsys, triangle_file, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, triangle_file, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def completion_reference(pts, eps, pmax):
+    """`completion` report built over the whole 2^n-simplex Cech filtration,
+    each diagram from an uncut reduction restricted to dimensions <= pmax."""
+    n = pts.shape[0]
+    cech = complexes.cech_filtration(pts, n - 1)
+    comp = complexes.completion(cech, coreset.delta(eps) - 1, n - 1)
+
+    def diagram_to_pmax(filt):
+        full = homology.persist_filtration(filt, filt.max_dim())
+        return homology.PersistenceDiagram({p: full.dim(p) for p in full.dims() if p <= pmax})
+
+    dgm, base = diagram_to_pmax(comp), diagram_to_pmax(cech)
+    return {
+        "command": "completion",
+        "delta": coreset.delta(eps),
+        "diagram": dgm.to_json_obj(),
+        "log_bottleneck_vs_cech": diagram.bottleneck_log(dgm, base),
+    }
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("pmax", [0, 1, 2])
+def test_completion_matches_full_filtration_reference(capsys, tmp_path, eps, pmax):
+    rng = np.random.default_rng([71, pmax, int(eps * 100)])
+    n, d = 8 + 2 * pmax, 2 + pmax
+    path = tmp_path / "pts.txt"
+    np.savetxt(path, random_cloud(rng, n, d))
+    code, rep = run(capsys, ["completion", str(path), "--eps", str(eps), "--pmax", str(pmax)])
+    assert code == 0
+    ref = completion_reference(load_points(str(path)), eps, pmax)
+    assert rep == json.loads(json.dumps(ref))
+
+
+def test_completion_polynomial_in_n(capsys, tmp_path):
+    # 2^30 subsets at the full dimension; the 2-skeleton has 4525 simplices.
+    path = tmp_path / "pts.txt"
+    np.savetxt(path, random_cloud(np.random.default_rng(72), 30, 10))
+    start = time.perf_counter()
+    code, rep = run(capsys, ["completion", str(path), "--pmax", "1"])
+    assert code == 0
+    assert time.perf_counter() - start < 20.0
+    assert {b["p"] for b in rep["diagram"]} == {0, 1}
+
+
+@pytest.mark.parametrize("command", ["cech", "rips", "completion", "coreset", "approx"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_coordinate_exits_3(capsys, tmp_path, command, bad):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"0 0\n1 {bad}\n2 1\n")
+    assert main([command, str(path)]) == 3
+    assert "non-finite coordinate" in capsys.readouterr().err
+
+
 def test_coreset_kinds(capsys, triangle_file):
     code, rep = run(capsys, ["coreset", triangle_file, "--eps", "0.2", "--kind", "meb"])
     assert code == 0
@@ -177,8 +251,17 @@ def test_exit_3_on_infeasible(capsys, triangle_file):
 
 def test_approx_kmax_above_dimension_exits_3(capsys, triangle_file):
     # The same check as `wssd`: no silent clamp to d.
-    assert main(["approx", triangle_file, "--kmax", "3"]) == 3
+    assert main(["approx", triangle_file, "--pmax", "2"]) == 3
     assert "d=2" in capsys.readouterr().err
+
+
+def test_approx_line_with_pmax_0(capsys, tmp_path):
+    # kmax = pmax+1 = 1 = d; the default pmax 1 would need kmax 2 > d.
+    path = tmp_path / "line.txt"
+    path.write_text("0\n1\n3\n7\n")
+    code, rep = run(capsys, ["approx", str(path), "--pmax", "0"])
+    assert code == 0
+    assert [b["p"] for b in rep["diagram"]] == [0]
 
 
 def test_out_file_and_determinism(tmp_path, triangle_file):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from cechkit.complexes import Filtration, cech_filtration, rips_filtration
+from cechkit.complexes import Filtration, cech_filtration, completion, rips_filtration
 from cechkit.errors import InvalidInput
 from cechkit.homology import (
     INF,
@@ -54,6 +54,14 @@ def test_persist_requires_monotone():
     bad = Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), -1.0)])
     with pytest.raises(InvalidInput):
         persist_filtration(bad, 1)
+    # A bad entry above the (pmax+1)-skeleton is still rejected.
+    bad_triangle = Filtration(
+        [((v,), 0.0) for v in range(3)]
+        + [(e, 1.0) for e in itertools.combinations(range(3), 2)]
+        + [((0, 1, 2), 0.5)]
+    )
+    with pytest.raises(InvalidInput):
+        persist_filtration(bad_triangle, 0)
 
 
 def test_persist_drops_zero_length_pairs():
@@ -78,6 +86,23 @@ def test_persist_betti_matches_euler():
             alive = sum(1 for b, d in dgm.dim(p) if b <= alpha < d)
             betti.append(alive)
         assert sum((-1) ** p * bp for p, bp in enumerate(betti)) == K.euler_characteristic()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_persist_cut_at_pmax_plus_one_keeps_low_dimensions(seed):
+    # persist_filtration reduces only the (pmax+1)-skeleton; on full
+    # filtrations every dimension <= pmax must match the uncut diagram.
+    rng = np.random.default_rng([63, seed])
+    n, d = 5 + seed % 5, 2 + seed % 3
+    pts = random_cloud(rng, n, d)
+    cech = cech_filtration(pts, n - 1)
+    for filt in (cech, rips_filtration(pts, n - 1), completion(cech, 1 + seed % 3, n - 1)):
+        full = persist_filtration(filt, filt.max_dim())
+        for p in range(filt.max_dim() + 1):
+            cut = persist_filtration(filt, p)
+            assert cut.dims() == [q for q in full.dims() if q <= p]
+            for q in range(p + 1):
+                assert cut.dim(q) == full.dim(q)
 
 
 # ---------------------------------------------------------------------------
