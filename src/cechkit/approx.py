@@ -96,13 +96,9 @@ def build_A(
     # The cells of a simplex are within 2 theta_k <= 2^top of each other,
     # so their ancestors at height `top` are equal or adjacent.
     top = _bracket_pow2(2.0 * theta_k) + 1
-    buckets: dict = {}
-    for c in qt.cells_at(h):
-        buckets.setdefault(qcell(c, top).index, []).append(c)
-    offsets = list(itertools.product((-1, 0, 1), repeat=qt.d))
     later = {}  # cell -> the larger cells in its own and adjacent buckets
-    for a, group in buckets.items():
-        near = [c for o in offsets for c in buckets.get(tuple(map(sum, zip(a, o))), ())]
+    for a, group in qt.buckets(h, top).items():
+        near = qt.near(Cell(top, a), h)
         for c in group:
             later[c] = sorted(x for x in near if x > c)
 

@@ -46,6 +46,14 @@ def load_points(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def load_diagram(path: str) -> homology.PersistenceDiagram:
+    try:
+        with open(path) as fh:
+            return homology.PersistenceDiagram.from_json_obj(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ParseError(f"{path}: cannot read a diagram: {exc}") from None
+
+
 def _write_report(obj, out_path):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
@@ -55,22 +63,18 @@ def _write_report(obj, out_path):
         print(text)
 
 
-def _diagram_json(dgm):
-    return dgm.to_json_obj()
-
-
 def cmd_cech(args) -> dict:
     pts = load_points(args.input)
     filt = complexes.cech_filtration(pts, args.pmax + 1)
     dgm = homology.persist_filtration(filt, args.pmax)
-    return {"command": "cech", "n": int(pts.shape[0]), "diagram": _diagram_json(dgm)}
+    return {"command": "cech", "n": int(pts.shape[0]), "diagram": dgm.to_json_obj()}
 
 
 def cmd_rips(args) -> dict:
     pts = load_points(args.input)
     filt = complexes.rips_filtration(pts, args.pmax + 1)
     dgm = homology.persist_filtration(filt, args.pmax)
-    return {"command": "rips", "n": int(pts.shape[0]), "diagram": _diagram_json(dgm)}
+    return {"command": "rips", "n": int(pts.shape[0]), "diagram": dgm.to_json_obj()}
 
 
 def cmd_completion(args) -> dict:
@@ -84,7 +88,7 @@ def cmd_completion(args) -> dict:
     return {
         "command": "completion",
         "delta": dlt,
-        "diagram": _diagram_json(dgm),
+        "diagram": dgm.to_json_obj(),
         "log_bottleneck_vs_cech": diagram.bottleneck_log(dgm, base),
     }
 
@@ -134,15 +138,12 @@ def cmd_approx(args) -> dict:
         "eps": args.eps,
         "ell_range": list(rng),
         "scales": tower.scales,
-        "diagram": _diagram_json(dgm),
+        "diagram": dgm.to_json_obj(),
     }
 
 
 def cmd_compare(args) -> dict:
-    with open(args.dgm_a) as fh:
-        d1 = homology.PersistenceDiagram.from_json_obj(json.load(fh))
-    with open(args.dgm_b) as fh:
-        d2 = homology.PersistenceDiagram.from_json_obj(json.load(fh))
+    d1, d2 = load_diagram(args.dgm_a), load_diagram(args.dgm_b)
     log_c = diagram.bottleneck_log(d1, d2)
     c = math.exp(log_c) if log_c != math.inf else math.inf
     report = diagram.is_c_approximation(d1, d2, c if c != math.inf else 1.0)
@@ -251,6 +252,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in ("cech", "rips", "completion") and args.pmax < 0:
+            raise InvalidInput(f"pmax must be >= 0, got pmax={args.pmax}")
         report = args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

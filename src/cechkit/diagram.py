@@ -149,7 +149,7 @@ def bottleneck_log(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     worst = 0.0
     for p in sorted(set(d1.dims()) | set(d2.dims())):
         pts1, pts2 = d1.dim(p), d2.dim(p)
-        if not pts1 and not pts2:
+        if pts1 == pts2:  # c = 1 matches a list to itself
             continue
         cands = _candidates(pts1, pts2)
         if _feasible(pts1, pts2, cands[-1]) is None:

@@ -2,11 +2,13 @@
 
 The cloud is rescaled so the minimum pairwise distance is exactly
 1/sqrt(d) and translated into the half-open root cube [0, 2^L)^d.  The
-quadtree is stored compressed: only nonempty cells exist physically, one
-level dictionary per height, materialized lazily.  Heights below 0 are
-legal ("virtual" cells) and are produced by the same machinery; the
-normalization guarantees that sufficiently deep cells hold single
-points.
+quadtree is stored compressed: only nonempty cells exist, one level
+dictionary per height, built lazily for any height, negative ones too
+(normalization makes deep cells hold single points).  One cached index,
+the nonempty height-h cells bucketed by their ancestor at height H,
+serves every neighbourhood query: a cell's children are its (h-1, h)
+bucket, and the cells near an anchor are its bucket and its 3^d - 1
+neighbours' buckets.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ class Quadtree:
 
     cloud: NormalizedCloud
     _levels: dict[int, dict[tuple[int, ...], list[int]]] = field(default_factory=dict)
+    _buckets: dict[tuple[int, int], dict] = field(default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -163,14 +166,12 @@ class Quadtree:
         return self.cloud.L
 
     def level(self, h: int) -> dict[tuple[int, ...], list[int]]:
-        cached = self._levels.get(h)
-        if cached is not None:
-            return cached
-        lev: dict[tuple[int, ...], list[int]] = {}
-        for i, x in enumerate(self.cloud.points):
-            lev.setdefault(cell_index_of(x, h), []).append(i)
-        self._levels[h] = lev
-        return lev
+        if h not in self._levels:
+            lev: dict[tuple[int, ...], list[int]] = {}
+            for i, x in enumerate(self.cloud.points):
+                lev.setdefault(cell_index_of(x, h), []).append(i)
+            self._levels[h] = lev
+        return self._levels[h]
 
     def cells_at(self, h: int) -> list[Cell]:
         return [Cell(h, idx) for idx in sorted(self.level(h))]
@@ -193,17 +194,26 @@ class Quadtree:
     def root(self) -> Cell:
         return Cell(self.L, (0,) * self.d)
 
+    def buckets(self, h: int, H: int) -> dict[tuple[int, ...], tuple[Cell, ...]]:
+        """Nonempty height-h cells keyed by the index of their ancestor at
+        height H >= h; each bucket is a sorted tuple.  Cached; read only."""
+        if (h, H) not in self._buckets:
+            out: dict[tuple[int, ...], list[Cell]] = {}
+            for idx in sorted(self.level(h)):
+                out.setdefault(tuple(i >> (H - h) for i in idx), []).append(Cell(h, idx))
+            self._buckets[(h, H)] = {a: tuple(g) for a, g in out.items()}
+        return self._buckets[(h, H)]
+
+    def near(self, anchor: Cell, h: int) -> list[Cell]:
+        """Nonempty height-h cells whose ancestor at anchor.height is the
+        anchor or one of its 3^d - 1 neighbours."""
+        buckets, a = self.buckets(h, anchor.height), anchor.index
+        offsets = itertools.product((-1, 0, 1), repeat=self.d)
+        return [c for o in offsets for c in buckets.get(tuple(map(sum, zip(a, o))), ())]
+
     def children(self, cell: Cell) -> list[Cell]:
         """Nonempty children of `cell`, sorted by lattice index."""
-        h = cell.height - 1
-        lev = self.level(h)
-        out = []
-        base = tuple(2 * i for i in cell.index)
-        for m in range(1 << self.d):
-            idx = tuple(base[a] + ((m >> a) & 1) for a in range(self.d))
-            if idx in lev:
-                out.append(Cell(h, idx))
-        return sorted(out)
+        return list(self.buckets(cell.height - 1, cell.height).get(cell.index, ()))
 
     def cell_containing(self, point_id: int, h: int) -> Cell:
         return Cell(h, cell_index_of(self.cloud.points[point_id], h))
@@ -211,24 +221,15 @@ class Quadtree:
     def nonempty_cells_intersecting(self, ball: Ball, h: int) -> list[Cell]:
         """Nonempty height-h cells whose closed box meets the closed ball.
 
-        Descends from the root, pruning empty or disjoint subtrees, so
-        the work is proportional to the number of cells visited.
+        With tol = 1e-12 the slack of `intersects_ball`, H is the smallest
+        height >= h with 2^H > (r + tol + 2^h)(1 + 1e-9), the factor absorbing
+        rounding in the ball test.  A cell meeting the ball has its lower
+        corner within r + tol + 2^h < 2^H of the center on every axis, so
+        its ancestor at H is the center's height-H cell or a neighbour.
         """
-        root = self.root()
-        if h >= self.L:
-            anc = Cell(h, tuple(i >> (h - self.L) for i in root.index))
-            return [anc] if anc.intersects_ball(ball) else []
-        frontier = [root] if root.intersects_ball(ball) else []
-        height = self.L
-        while height > h:
-            nxt = []
-            for cell in frontier:
-                for child in self.children(cell):
-                    if child.intersects_ball(ball):
-                        nxt.append(child)
-            frontier = nxt
-            height -= 1
-        return sorted(frontier)
+        H = max(h, math.frexp((ball.radius + 1e-12 + 2.0 ** h) * (1.0 + 1e-9))[1])
+        anchor = Cell(H, cell_index_of(ball.center, H))
+        return sorted(c for c in self.near(anchor, h) if c.intersects_ball(ball))
 
 
 def qcell(q: Cell, i: int) -> Cell:

@@ -255,6 +255,31 @@ def test_approx_kmax_above_dimension_exits_3(capsys, triangle_file):
     assert "d=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cech", "rips", "completion"])
+def test_negative_pmax_exits_3(capsys, triangle_file, command):
+    assert main([command, triangle_file, "--pmax", "-1"]) == 3
+    assert "pmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("missing.json", None),
+        ("text.json", "not json\n"),
+        ("coord.json", '[{"p": 0, "points": [["x", 1]]}]'),
+    ],
+)
+def test_compare_unreadable_diagram_exits_2(capsys, tmp_path, name, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([{"p": 0, "points": [[0.0, "inf"]]}]))
+    bad = tmp_path / name
+    if text is not None:
+        bad.write_text(text)
+    for argv in (["compare", str(bad), str(good)], ["compare", str(good), str(bad)]):
+        assert main(argv) == 2
+        assert name in capsys.readouterr().err
+
+
 def test_approx_line_with_pmax_0(capsys, tmp_path):
     # kmax = pmax+1 = 1 = d; the default pmax 1 would need kmax 2 > d.
     path = tmp_path / "line.txt"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ def test_feasible_matches_recursive_reference(npts):
                 assert got == ref_feasible(pts1, pts2, c), (npts, p, c)
                 outcomes.add(got is None)
         assert outcomes == {True, False}
+
+
+def test_bottleneck_equal_large_diagrams_is_fast():
+    # Equal dimensions are skipped: c = 1 always matches a list to itself.
+    W = bench_module("workloads")
+    a, _ = W.planted_pair(np.random.default_rng(0), 600, 1.2)
+    d1, d2 = PersistenceDiagram.from_json_obj(a), PersistenceDiagram.from_json_obj(a)
+    start = time.perf_counter()
+    assert bottleneck_log(d1, d2) == 0.0
+    assert time.perf_counter() - start < 1.0
 
 
 def _brute_force_matchable(adj, n_right):

@@ -133,17 +133,68 @@ def test_nonempty_cells_intersecting_root_ball():
 
 def test_nonempty_cells_intersecting_matches_bruteforce():
     rng = np.random.default_rng(15)
-    qt = build(normalize(random_cloud(rng, 18, 2)))
-    for _ in range(25):
-        h = int(rng.integers(-2, qt.L + 1))
-        center = rng.uniform(0, 2.0**qt.L, size=2)
-        ball = Ball(tuple(center), float(rng.uniform(0.1, 2.0**qt.L)))
-        got = qt.nonempty_cells_intersecting(ball, h)
-        want = sorted(
-            (c for c in qt.cells_at(h) if c.intersects_ball(ball)),
-            key=lambda c: c.index,
-        )
-        assert got == want
+    for d in (1, 2, 3, 4):
+        for _ in range(3):
+            qt = build(normalize(random_cloud(rng, int(rng.integers(2, 19)), d)))
+            side = 2.0**qt.L
+            for h in range(-3, qt.L + 2):
+                for _ in range(6):
+                    # centers up to half a root side outside the root cube
+                    center = rng.uniform(-0.5 * side, 1.5 * side, size=d)
+                    if rng.random() < 0.3:
+                        center = qt.cloud.points[int(rng.integers(0, qt.cloud.n))]
+                    radius = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, side))
+                    ball = Ball(tuple(float(c) for c in center), radius)
+                    got = qt.nonempty_cells_intersecting(ball, h)
+                    want = [c for c in qt.cells_at(h) if c.intersects_ball(ball)]
+                    assert got == want
+
+
+def ref_children(qt, cell):
+    """The 2^d probe loop `Quadtree.children` used before the bucket index."""
+    h = cell.height - 1
+    lev = qt.level(h)
+    out = []
+    base = tuple(2 * i for i in cell.index)
+    for m in range(1 << qt.d):
+        idx = tuple(base[a] + ((m >> a) & 1) for a in range(qt.d))
+        if idx in lev:
+            out.append(Cell(h, idx))
+    return sorted(out)
+
+
+def test_children_match_probe_loop():
+    rng = np.random.default_rng(16)
+    for d in (1, 2, 3):
+        for n in (2, 9, 17):
+            qt = build(normalize(random_cloud(rng, n, d)))
+            for h in range(-3, qt.L + 3):
+                for cell in qt.cells_at(h):
+                    assert qt.children(cell) == ref_children(qt, cell)
+                # an empty cell has no children
+                assert qt.children(Cell(h, (-1,) * d)) == []
+
+
+def test_near_matches_ancestor_bruteforce():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        qt = build(normalize(random_cloud(rng, 14, d)))
+        for h in range(-2, qt.L + 1):
+            for H in range(h, qt.L + 2):
+                buckets = qt.buckets(h, H)
+                assert qt.buckets(h, H) is buckets
+                assert sorted(c for g in buckets.values() for c in g) == qt.cells_at(h)
+                for a, group in buckets.items():
+                    assert isinstance(group, tuple) and list(group) == sorted(group)
+                    assert all(qcell(c, H).index == a for c in group)
+                for _ in range(4):
+                    top = 2 ** max(qt.L - H, 0)
+                    anchor = Cell(H, tuple(int(i) for i in rng.integers(-1, top + 1, size=d)))
+                    want = [
+                        c for c in qt.cells_at(h)
+                        if max(abs(i - j) for i, j in zip(qcell(c, H).index, anchor.index)) <= 1
+                    ]
+                    assert sorted(qt.near(anchor, h)) == want
 
 
 # numpy copies of the per-cell geometry before it moved to Python floats;
