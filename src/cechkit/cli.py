@@ -63,18 +63,13 @@ def _write_report(obj, out_path):
         print(text)
 
 
-def cmd_cech(args) -> dict:
+def cmd_filtration(args) -> dict:
+    """`cech` and `rips`: the diagram of the named filtration."""
     pts = load_points(args.input)
-    filt = complexes.cech_filtration(pts, args.pmax + 1)
+    build = {"cech": complexes.cech_filtration, "rips": complexes.rips_filtration}
+    filt = build[args.command](pts, args.pmax + 1)
     dgm = homology.persist_filtration(filt, args.pmax)
-    return {"command": "cech", "n": int(pts.shape[0]), "diagram": dgm.to_json_obj()}
-
-
-def cmd_rips(args) -> dict:
-    pts = load_points(args.input)
-    filt = complexes.rips_filtration(pts, args.pmax + 1)
-    dgm = homology.persist_filtration(filt, args.pmax)
-    return {"command": "rips", "n": int(pts.shape[0]), "diagram": dgm.to_json_obj()}
+    return {"command": args.command, "n": int(pts.shape[0]), "diagram": dgm.to_json_obj()}
 
 
 def cmd_completion(args) -> dict:
@@ -181,22 +176,8 @@ def cmd_validate(args) -> dict:
     kmax = min(qt.d, 2)
     decomposition = wssd.build_wssd(qt, args.eps, kmax)
 
-    covered = True
-    n = cloud.n
-    for k in range(1, kmax + 1):
-        for simplex in wssd.simplices_of(n, k):
-            vp = cloud.points[list(simplex)]
-            if not any(wssd.covers(t, vp) for t in decomposition.gamma(k)):
-                covered = False
-    out["checks"]["wssd_covering"] = covered
-
-    height_ok = True
-    for t in decomposition.all_tuples():
-        rho = t.rad
-        for c in t.cells:
-            if 2.0 ** c.height > args.eps * rho / math.sqrt(qt.d) * (1 + 1e-9):
-                height_ok = False
-    out["checks"]["height_bound"] = height_ok
+    out["checks"]["wssd_covering"] = wssd.is_covering(qt, decomposition)
+    out["checks"]["height_bound"] = wssd.heights_bounded(decomposition, qt.d)
 
     if pts.shape[0] <= 12:
         report = complexes.check_completion_sandwich(
@@ -225,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ell-max": dict(type=int, default=None),
     }
     for name, fn, names in [
-        ("cech", cmd_cech, ["--pmax"]),
-        ("rips", cmd_rips, ["--pmax"]),
+        ("cech", cmd_filtration, ["--pmax"]),
+        ("rips", cmd_filtration, ["--pmax"]),
         ("completion", cmd_completion, ["--eps", "--pmax"]),
         ("wssd", cmd_wssd, ["--eps", "--kmax", "--dump-tuples"]),
         ("approx", cmd_approx, ["--eps", "--pmax", "--ell-min", "--ell-max"]),

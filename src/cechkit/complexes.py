@@ -3,7 +3,10 @@
 A Filtration stores (simplex, value) entries sorted by
 (value, dimension, lexicographic vertex order), which fixes the column
 order of the persistence reduction.  Simplices are sorted tuples of
-vertex labels; for point clouds the labels are point ids.
+vertex labels; for point clouds the labels are point ids.  One
+completion rule, `_complete`, builds Rips (the 1-completion of the edge
+lengths), `completion`, and Cech above dimension d (the d-completion of
+its d-skeleton).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import TAU_GEOM, _as_points, circumball, covers, meb
+from .geometry import TAU_GEOM, _as_points, _row_distances, circumball, covers, meb
 
 
 def _entry_key(entry):
@@ -41,16 +44,6 @@ class Filtration:
     def max_dim(self) -> int:
         return max((len(s) - 1 for s, _ in self.entries), default=-1)
 
-    def is_face_monotone(self) -> bool:
-        values = self.value_of()
-        for s, v in self.entries:
-            if len(s) == 1:
-                continue
-            for face in itertools.combinations(s, len(s) - 1):
-                if face not in values or values[face] > v + 1e-12:
-                    return False
-        return True
-
     def dump(self) -> str:
         lines = [f"{' '.join(map(str, s))} ; {v!r}" for s, v in self.entries]
         return "\n".join(lines) + "\n"
@@ -71,21 +64,38 @@ class Filtration:
         return Filtration(entries)
 
 
+def _complete(values, vertices, i: int, kmax: int) -> Filtration:
+    """Keep `values` up to dimension i (it must hold every such simplex)
+    and put each higher simplex, up to kmax, at the max of its facet
+    values, which is exactly the max over its i-faces: the i-completion.
+    """
+    top = min(kmax, len(vertices) - 1)
+    entries = [(s, v) for s, v in values.items() if len(s) <= min(i, top) + 1]
+    layer = {s: v for s, v in entries if len(s) == i + 1}
+    for k in range(i + 1, top + 1):
+        layer = {
+            s: max(map(layer.__getitem__, itertools.combinations(s, k)))
+            for s in itertools.combinations(vertices, k + 1)
+        }
+        entries.extend(layer.items())
+    return Filtration(entries)
+
+
 def cech_filtration(points, kmax: int) -> Filtration:
     """Filtration value of each simplex is the meb radius of its vertices.
 
-    Simplices are solved dimension by dimension, keeping each one's ball
-    (center and value).  Facet inheritance: if the ball of some facet
-    contains the opposite vertex (up to the Welzl slack), that ball
-    encloses the whole simplex and, being the facet's meb, is also the
-    simplex's meb, so the simplex takes it without a solve.  Otherwise
-    every vertex is a support point, and for k <= d the meb is the
-    circumball of all k+1 vertices.  For k > d (where inheritance always
-    applies in exact arithmetic, since a support set has at most d+1
-    points) and for a degenerate circumball solve, Welzl's `meb` is the
-    fallback.  Each value is finally raised to the largest facet value:
-    rounding, and inheriting a ball that holds its vertex only up to the
-    slack, could otherwise leave a facet a hair above its coface.
+    Simplices up to dimension d are solved dimension by dimension,
+    keeping each one's ball (center and value).  Facet inheritance: if
+    the ball of some facet contains the opposite vertex (up to the Welzl
+    slack), that ball encloses the whole simplex and, being the facet's
+    meb, is also the simplex's meb, so the simplex takes it without a
+    solve.  Otherwise every vertex is a support point, and the meb is
+    the circumball of all k+1 vertices; a degenerate circumball solve
+    falls back to Welzl's `meb`.  Each value is finally raised to the
+    largest facet value: rounding, and inheriting a ball that holds its
+    vertex only up to the slack, could otherwise leave a facet a hair
+    above its coface.  Above dimension d a meb has at most d+1 support
+    points, so Cech is the d-completion of its d-skeleton (`_complete`).
     """
     pts = _as_points(points)
     if kmax < 0:
@@ -96,8 +106,8 @@ def cech_filtration(points, kmax: int) -> Filtration:
     balls: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {
         (i,): (rows[i], 0.0) for i in range(n)
     }
-    entries = [(s, 0.0) for s in balls]
-    for k in range(1, min(kmax, n - 1) + 1):
+    values = {s: 0.0 for s in balls}
+    for k in range(1, min(kmax, n - 1, d) + 1):
         prev, balls = balls, {}
         for simplex in itertools.combinations(range(n), k + 1):
             facets = [simplex[:j] + simplex[j + 1 :] for j in range(k + 1)]
@@ -106,47 +116,40 @@ def cech_filtration(points, kmax: int) -> Filtration:
                     ball = prev[facet]
                     break
             else:
-                ball = _all_support_ball([rows[i] for i in simplex], d)
+                ball = _all_support_ball([rows[i] for i in simplex])
             value = max(ball[1], max(prev[f][1] for f in facets))
             balls[simplex] = (ball[0], value)
-            entries.append((simplex, value))
-    return Filtration(entries)
+            values[simplex] = value
+    return _complete(values, range(n), d, kmax)
 
 
-def _all_support_ball(vertices: list[tuple[float, ...]], d: int):
+def _all_support_ball(vertices: list[tuple[float, ...]]):
     """Meb of a simplex none of whose facet balls holds the opposite vertex.
 
     Then every vertex lies on the meb's boundary, so the meb is the
-    circumball when the k+1 vertices can be affinely independent
-    (k <= d).  A circumball with a vertex off its sphere (by the support
-    tolerance of `meb`) came from a degenerate solve; `meb` decides then.
+    circumball.  A circumball with a vertex off its sphere (by the
+    support tolerance of `meb`) came from a degenerate solve; `meb`
+    decides then.
     """
-    if len(vertices) <= d + 1:
-        center, radius = circumball(vertices)
-        nearest = min(math.dist(center, v) for v in vertices)
-        if radius - nearest <= radius * TAU_GEOM + 1e-12:
-            return center, radius
+    center, radius = circumball(vertices)
+    nearest = min(math.dist(center, v) for v in vertices)
+    if radius - nearest <= radius * TAU_GEOM + 1e-12:
+        return center, radius
     res = meb(vertices)
     return res.ball.center, res.radius
 
 
 def rips_filtration(points, kmax: int) -> Filtration:
-    """Filtration value of each simplex is the diameter of its vertices."""
+    """Filtration value of each simplex is the diameter of its vertices:
+    the 1-completion of the edge lengths."""
     pts = _as_points(points)
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n = pts.shape[0]
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    entries = []
-    for k in range(min(kmax, n - 1) + 1):
-        for simplex in itertools.combinations(range(n), k + 1):
-            if k == 0:
-                value = 0.0
-            else:
-                idx = list(simplex)
-                value = float(dist[np.ix_(idx, idx)].max())
-            entries.append((simplex, value))
-    return Filtration(entries)
+    values = {(i,): 0.0 for i in range(n)}
+    for i, row in enumerate(_row_distances(pts)):
+        values.update(((i, j), float(v)) for j, v in enumerate(row, start=i + 1))
+    return _complete(values, range(n), 1, kmax)
 
 
 def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
@@ -160,24 +163,12 @@ def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
     if i < 1:
         raise InvalidInput(f"completion order must be >= 1, got {i}")
     values = filt.value_of()
-    vertices = sorted(v for s in values for v in s)
-    vertices = sorted(set(vertices))
+    vertices = sorted({v for s in values for v in s})
     n = len(vertices)
-    for simplex in itertools.combinations(vertices, min(i, n - 1) + 1):
-        if simplex not in values:
+    for k in range(min(i, n - 1) + 1):
+        if any(s not in values for s in itertools.combinations(vertices, k + 1)):
             raise InvalidInput("input filtration is missing part of its i-skeleton")
-
-    entries = []
-    for k in range(min(kmax, n - 1) + 1):
-        for simplex in itertools.combinations(vertices, k + 1):
-            if k <= i:
-                entries.append((simplex, values[simplex]))
-            else:
-                value = max(
-                    values[f] for f in itertools.combinations(simplex, i + 1)
-                )
-                entries.append((simplex, value))
-    return Filtration(entries)
+    return _complete(values, vertices, i, kmax)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import meb
+from .geometry import TAU_GEOM, meb
 
 _ENUM_CAP = 16
 _CEIL_TOL = 1e-9
@@ -78,27 +78,39 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
     """Greedy removal down to size delta(eps), keeping the radius maximal.
 
     At each step the removed point is the one whose removal leaves the
-    largest remaining meb radius; ties go to the smallest point id.
+    largest remaining meb radius; ties go to the smallest point id.  The
+    ball of the current set is solved once per round.  Removing a point
+    strictly inside it leaves the radius at r, and no later candidate
+    can beat r by the 1e-12 tie margin, so such a point takes r without
+    a solve and ends the scan.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     dlt = delta(eps)
-    full_rad = meb(pts).radius
+    res = meb(pts)
+    full_rad = res.radius
     if n < dlt:
         return CoresetResult(tuple(range(n)), "radius", eps, 1.0, undersized_input=True)
 
     current = list(range(n))
     while len(current) > dlt:
+        r, center = res.radius, tuple(res.ball.center)
+        inside = r * (1.0 - TAU_GEOM) - 1e-12
         best_rad, best_drop = -1.0, None
         for drop in current:
-            rest = [i for i in current if i != drop]
-            rad = meb(pts[rest]).radius
+            interior = math.dist(pts[drop], center) < inside
+            if interior:
+                rad = r
+            else:
+                rad = meb(pts[[i for i in current if i != drop]]).radius
             if rad > best_rad * (1.0 + 1e-12):
                 best_rad, best_drop = rad, drop
+            if interior:
+                break
         current.remove(best_drop)
+        res = meb(pts[current])
 
-    core_rad = meb(pts[current]).radius
-    factor = full_rad / core_rad if core_rad > 0 else 1.0
+    factor = full_rad / res.radius if res.radius > 0 else 1.0
     return CoresetResult(tuple(current), "radius", eps, factor)
 
 

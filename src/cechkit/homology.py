@@ -3,7 +3,7 @@
 One engine, ``persist_filtration``: classical boundary-matrix column
 reduction of a filtration, columns stored as Python ints (bitsets).  A
 diagram up to dimension pmax reads only the (pmax+1)-skeleton, so that
-is all it reduces; callers may pass a filtration of any dimension.  A
+is all it reduces, in one facet pass that also checks every entry.  A
 tower of complexes connected by simplicial vertex maps is first turned
 into a filtration with the same diagram, by coning off each vertex
 collapse (``tower_diagram``).
@@ -148,19 +148,19 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
     """Diagram in every dimension <= pmax: GF(2) column reduction of the
     boundary matrix of the (pmax+1)-skeleton.  Reduction adds a column
     only to columns of its own dimension, so higher simplices cannot
-    change those pairs.  Face-monotonicity is checked on every entry."""
-    if not filt.is_face_monotone():
-        raise InvalidInput("filtration is not face-monotone")
+    change those pairs.  The facet pass that builds the columns checks
+    face-monotonicity (up to 1e-12) on every entry."""
+    value = filt.value_of()
     entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
     position = {s: i for i, (s, _) in enumerate(entries)}
 
     columns: list[int] = []
-    for s, _ in entries:
-        bits = 0
-        if len(s) > 1:
-            for f in itertools.combinations(s, len(s) - 1):
-                bits ^= 1 << position[f]
-        columns.append(bits)
+    for s, v in filt.entries:
+        facets = list(itertools.combinations(s, len(s) - 1)) if len(s) > 1 else []
+        if any(f not in value or value[f] > v + 1e-12 for f in facets):
+            raise InvalidInput("filtration is not face-monotone")
+        if len(s) <= pmax + 2:
+            columns.append(sum(1 << position[f] for f in facets))
 
     low_of: dict[int, int] = {}  # low index -> column index
     lows: list[int | None] = [None] * len(entries)

@@ -124,6 +124,39 @@ def covers(t: WST, vertex_points) -> bool:
     return perfect_matching(allowed, len(t.cells)) is not None
 
 
+def covered_simplices(qt: Quadtree, tuples, k: int) -> set[tuple[int, ...]]:
+    """Every k-simplex that some (k+1)-tuple covers.
+
+    Enumerates each tuple's distinct choices of one point per cell,
+    which is what the permutation test of `covers` accepts, instead of
+    testing each simplex against each tuple.
+    """
+    out = set()
+    for t in tuples:
+        for choice in itertools.product(*(qt.points_in(c) for c in t.cells)):
+            if len(set(choice)) == k + 1:
+                out.add(tuple(sorted(choice)))
+    return out
+
+
+def is_covering(qt: Quadtree, dec: WSSD) -> bool:
+    """Does every Gamma_k cover all C(n, k+1) k-simplices of the cloud?"""
+    n = qt.cloud.n
+    return all(
+        len(covered_simplices(qt, dec.gamma(k), k)) == math.comb(n, k + 1)
+        for k in range(1, dec.kmax + 1)
+    )
+
+
+def heights_bounded(dec: WSSD, d: int) -> bool:
+    """Is every cell of every tuple small: 2^h <= eps * rad / sqrt(d)?"""
+    return all(
+        2.0**c.height <= dec.epsilon * t.rad / math.sqrt(d) * (1 + 1e-9)
+        for t in dec.all_tuples()
+        for c in t.cells
+    )
+
+
 def wst_ball_property_check(t: WST, eps: float, trials: int, seed: int = 0) -> bool:
     """Randomized check of the defining tuple property: balls meeting
     every cell, (1+eps)-expanded, contain the whole cell union."""

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import sys
 import tempfile
@@ -31,6 +32,19 @@ def random_cloud(rng, n, d, box=1.0):
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         if n < 2 or dist[np.triu_indices(n, 1)].min() > 1e-6:
             return pts
+
+
+def is_face_monotone(filt):
+    """Every facet of every entry is present and enters no later than it,
+    up to 1e-12 (the check `persist_filtration` makes)."""
+    values = filt.value_of()
+    for s, v in filt.entries:
+        if len(s) == 1:
+            continue
+        for face in itertools.combinations(s, len(s) - 1):
+            if face not in values or values[face] > v + 1e-12:
+                return False
+    return True
 
 
 def bench_module(name):

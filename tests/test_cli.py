@@ -222,6 +222,20 @@ def test_validate(capsys, triangle_file):
     assert rep["checks"]["wssd_covering"]
 
 
+def test_validate_32_points_is_fast(capsys, tmp_path):
+    # The covering check enumerates each tuple's point choices; testing
+    # every simplex against every tuple took minutes at this size.
+    path = tmp_path / "pts.txt"
+    pts = random_cloud(np.random.default_rng(7), 32, 2)
+    path.write_text("\n".join(" ".join(map(repr, p)) for p in pts.tolist()) + "\n")
+    t0 = time.perf_counter()
+    code, rep = run(capsys, ["validate", str(path), "--eps", "0.5"])
+    assert time.perf_counter() - t0 < 60.0
+    assert code == 0
+    assert rep["checks"] == {"wssd_covering": True, "height_bound": True}
+    assert rep["ok"]
+
+
 def test_compare(capsys, tmp_path, triangle_file):
     for name, scale in (("a.json", 1.0), ("b.json", 1.1)):
         obj = [{"p": 1, "points": [[1.0 * scale, 2.0 * scale]]}]

@@ -14,9 +14,9 @@ from cechkit.complexes import (
     rips_filtration,
 )
 from cechkit.errors import InvalidInput
-from cechkit.geometry import meb
+from cechkit.geometry import TAU_GEOM, circumball, covers, meb
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, is_face_monotone, random_cloud
 
 
 def test_cech_filtration_triangle():
@@ -65,7 +65,104 @@ def test_cech_filtration_matches_per_simplex_meb_oracle():
         assert values.keys() == oracle.keys()
         for s, v in oracle.items():
             assert values[s] == pytest.approx(v, rel=1e-12, abs=0.0)
-        assert filt.is_face_monotone()
+        assert is_face_monotone(filt)
+
+
+# ---------------------------------------------------------------------------
+# one completion rule: the three builders against their per-family routes
+
+def _ref_rips(pts, kmax):
+    """Diameter of each simplex from an n x n distance tensor."""
+    n = pts.shape[0]
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    entries = []
+    for k in range(min(kmax, n - 1) + 1):
+        for s in itertools.combinations(range(n), k + 1):
+            idx = list(s)
+            entries.append((s, 0.0 if k == 0 else float(dist[np.ix_(idx, idx)].max())))
+    return Filtration(entries)
+
+
+def _ref_completion(filt, i, kmax):
+    """Each simplex above dimension i at the max over all its i-faces."""
+    values = filt.value_of()
+    vertices = sorted({v for s in values for v in s})
+    entries = []
+    for k in range(min(kmax, len(vertices) - 1) + 1):
+        for s in itertools.combinations(vertices, k + 1):
+            if k <= i:
+                entries.append((s, values[s]))
+            else:
+                entries.append((s, max(values[f] for f in itertools.combinations(s, i + 1))))
+    return Filtration(entries)
+
+
+def _ref_cech(pts, kmax):
+    """Facet-ball inheritance in every dimension, with a circumball solve
+    for k <= d and a Welzl fallback (also for k > d)."""
+    n, d = pts.shape
+    rows = [tuple(p) for p in pts.tolist()]
+    balls = {(i,): (rows[i], 0.0) for i in range(n)}
+    entries = [(s, 0.0) for s in balls]
+    for k in range(1, min(kmax, n - 1) + 1):
+        prev, balls = balls, {}
+        for s in itertools.combinations(range(n), k + 1):
+            facets = [s[:j] + s[j + 1 :] for j in range(k + 1)]
+            for facet, opposite in zip(facets, s):
+                if covers(*prev[facet], rows[opposite]):
+                    ball = prev[facet]
+                    break
+            else:
+                vertices = [rows[i] for i in s]
+                ball = None
+                if k <= d:
+                    center, radius = circumball(vertices)
+                    nearest = min(math.dist(center, v) for v in vertices)
+                    if radius - nearest <= radius * TAU_GEOM + 1e-12:
+                        ball = (center, radius)
+                if ball is None:
+                    res = meb(vertices)
+                    ball = (res.ball.center, res.radius)
+            value = max(ball[1], max(prev[f][1] for f in facets))
+            balls[s] = (ball[0], value)
+            entries.append((s, value))
+    return Filtration(entries)
+
+
+def _builder_clouds():
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        yield rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 5))))
+    # Lattice-rounded: ties among distances and radii.
+    yield np.round(rng.normal(size=(8, 3)) * 2.0) / 2.0
+    # Co-circular in the plane and on a circle inside R^3.
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=7)
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    yield circle
+    yield np.column_stack([circle, np.zeros(7)])
+    # An integer grid with coincident points, and a nearly flat cloud.
+    yield rng.integers(0, 2, size=(8, 2)).astype(float)
+    flat = rng.normal(size=(7, 3))
+    flat[:, -1] *= 1e-6
+    yield flat
+
+
+def test_builders_match_per_family_routes_bit_for_bit():
+    # Entry lists compare values with float ==, so a last-bit
+    # difference fails.
+    for pts in _builder_clouds():
+        n, d = pts.shape
+        full = cech_filtration(pts, n - 1)
+        for kmax in sorted({0, 1, 2, 3, d, d + 1, n - 1}):
+            cech = cech_filtration(pts, kmax)
+            assert cech.entries == _ref_cech(pts, kmax).entries
+            assert rips_filtration(pts, kmax).entries == _ref_rips(pts, kmax).entries
+            for i in (1, 2, 3):
+                if i <= kmax:
+                    want = _ref_completion(cech, i, kmax).entries
+                    assert completion(cech, i, kmax).entries == want
+                want = _ref_completion(full, i, kmax).entries
+                assert completion(full, i, kmax).entries == want
 
 
 def test_rips_filtration_triangle():
@@ -78,7 +175,7 @@ def test_filtration_sorted_and_face_monotone():
     rng = np.random.default_rng(51)
     pts = random_cloud(rng, 7, 3)
     for filt in (cech_filtration(pts, 3), rips_filtration(pts, 3)):
-        assert filt.is_face_monotone()
+        assert is_face_monotone(filt)
         keys = [(v, len(s), s) for s, v in filt.entries]
         assert keys == sorted(keys)
 
@@ -141,6 +238,12 @@ def test_completion_requires_full_skeleton():
     filt = Filtration([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0)])
     with pytest.raises(InvalidInput):
         completion(filt, 1, 2)
+    # A missing face below dimension i is rejected too.
+    no_vertex = Filtration(
+        [((0,), 0.0), ((1,), 0.0)] + [(e, 1.0) for e in ((0, 1), (0, 2), (1, 2))]
+    )
+    with pytest.raises(InvalidInput):
+        completion(no_vertex, 1, 2)
 
 
 def test_sandwich_at_sqrt2_minus_one():

@@ -1,10 +1,12 @@
 """Radius- and meb-coresets, subset radii, Jung-type inequalities."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from cechkit import coreset as coreset_module
 from cechkit.coreset import (
     delta,
     is_meb_coreset,
@@ -103,6 +105,65 @@ def test_greedy_always_within_factor():
         if not res.undersized_input:
             assert res.size == delta(eps)
         assert is_radius_coreset(pts, res.subset, eps)
+
+
+def _ref_greedy(pts, eps):
+    """The greedy removal with one meb solve per candidate in every round."""
+    n, dlt = pts.shape[0], delta(eps)
+    full_rad = meb(pts).radius
+    if n < dlt:
+        return tuple(range(n)), 1.0, True
+    current = list(range(n))
+    while len(current) > dlt:
+        best_rad, best_drop = -1.0, None
+        for drop in current:
+            rad = meb(pts[[i for i in current if i != drop]]).radius
+            if rad > best_rad * (1.0 + 1e-12):
+                best_rad, best_drop = rad, drop
+        current.remove(best_drop)
+    core_rad = meb(pts[current]).radius
+    return tuple(current), full_rad / core_rad if core_rad > 0 else 1.0, False
+
+
+def _greedy_clouds():
+    rng = np.random.default_rng(93)
+    for _ in range(12):
+        yield random_cloud(rng, int(rng.integers(2, 11)), int(rng.integers(1, 6)))
+    yield np.eye(8)
+    yield np.vstack([np.eye(5), np.full((1, 5), 0.2)])
+    # Lattice points: many points on the ball's sphere, and ties.
+    yield np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=2)))
+    yield np.round(rng.normal(size=(10, 3)))
+
+
+def test_greedy_matches_solve_every_candidate_route():
+    for pts in _greedy_clouds():
+        for eps in (0.1, 0.25, 0.5, math.sqrt(2.0) - 1.0, 1.0):
+            res = radius_coreset_greedy(pts, eps)
+            subset, factor, undersized = _ref_greedy(pts, eps)
+            assert res.subset == subset
+            assert res.achieved_factor == factor
+            assert res.undersized_input == undersized
+
+
+def test_greedy_skips_solves_for_interior_points(monkeypatch):
+    # The centroid of the standard simplex in R^4 comes first and lies
+    # strictly inside the ball: round 1 removes it without a solve.  The
+    # four vertices then need 4 and 3 candidate solves.  One solve for the
+    # whole set (it also serves round 1) and one after each removal make
+    # 1 + 3 + 4 + 3 = 11 calls, against 14 with a solve per candidate.
+    calls = []
+
+    def spy(points):
+        calls.append(len(points))
+        return meb(points)
+
+    pts = np.vstack([np.full((1, 4), 0.25), np.eye(4)])
+    monkeypatch.setattr(coreset_module, "meb", spy)
+    res = radius_coreset_greedy(pts, 0.45)
+    assert res.subset == _ref_greedy(pts, 0.45)[0] == (3, 4)
+    assert len(calls) == 11
+    assert calls == [5, 4] + [3] * 5 + [2] * 4
 
 
 # ---------------------------------------------------------------------------

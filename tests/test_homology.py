@@ -64,6 +64,27 @@ def test_persist_requires_monotone():
         persist_filtration(bad_triangle, 0)
 
 
+def test_persist_checks_every_facet_above_the_cut():
+    # At pmax 0 only vertices and edges get columns; the facet pass still
+    # checks the triangles and the tetrahedron, with the same tolerance.
+    base = [((v,), 0.0) for v in range(4)] + [
+        (e, 1.0) for e in itertools.combinations(range(4), 2)
+    ]
+    triangles = [(t, 2.0) for t in itertools.combinations(range(4), 3)]
+    tetra = ((0, 1, 2, 3), 3.0)
+    assert persist_filtration(Filtration(base + triangles + [tetra]), 0).dim(0)
+    missing = Filtration(base + triangles[1:] + [tetra])
+    with pytest.raises(InvalidInput):
+        persist_filtration(missing, 0)
+    above = Filtration(base + triangles[:-1] + [((1, 2, 3), 3.5), tetra])
+    with pytest.raises(InvalidInput):
+        persist_filtration(above, 0)
+    within = Filtration(base + triangles[:-1] + [((1, 2, 3), 3.0 + 1e-13), tetra])
+    assert persist_filtration(within, 0) == persist_filtration(
+        Filtration(base + triangles + [tetra]), 0
+    )
+
+
 def test_persist_drops_zero_length_pairs():
     rng = np.random.default_rng(61)
     dgm = persist_filtration(rips_filtration(random_cloud(rng, 6, 2), 3), 2)

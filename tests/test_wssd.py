@@ -7,14 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from cechkit import wssd
 from cechkit.errors import InvalidInput
 from cechkit.geometry import meb
 from cechkit.quadtree import Cell, build, normalize
 from cechkit.wssd import (
+    WSSD,
     WST,
     build_wssd,
     covers,
     grid_height_for,
+    heights_bounded,
+    is_covering,
     removable_point_check,
     simplices_of,
     wst_ball_property_check,
@@ -103,6 +107,60 @@ def test_height_bound_exact():
         rho = t.rad
         for c in t.cells:
             assert 2.0**c.height <= eps * rho / math.sqrt(2) * (1 + 1e-9)
+
+
+def test_covered_simplices_matches_permutation_test():
+    # The point-choice enumeration against `covers` on every simplex, for
+    # each Gamma_k and for its first half only.
+    rng = np.random.default_rng(45)
+    qt = build(normalize(random_cloud(rng, 9, 2)))
+    dec = build_wssd(qt, 0.5, 2)
+    for k in (1, 2):
+        for tuples in (dec.gamma(k), dec.gamma(k)[: len(dec.gamma(k)) // 2]):
+            want = {
+                s
+                for s in simplices_of(9, k)
+                if any(covers(t, qt.cloud.points[list(s)]) for t in tuples)
+            }
+            assert wssd.covered_simplices(qt, tuples, k) == want
+    assert is_covering(qt, dec)
+
+
+def test_is_covering_fails_without_one_gamma2_tuple():
+    qt = build(normalize(TRIANGLE))
+    dec = build_wssd(qt, 0.5, 2)
+    assert is_covering(qt, dec)
+    # Drop a tuple that alone covers some triangle.
+    gamma2 = dec.gamma(2)
+    sole = [
+        j
+        for j, t in enumerate(gamma2)
+        if covered_simplices(qt, [t], 2)
+        - covered_simplices(qt, gamma2[:j] + gamma2[j + 1 :], 2)
+    ]
+    assert sole
+    j = sole[0]
+    assert not is_covering(qt, WSSD(dec.epsilon, [dec.gamma(1), gamma2[:j] + gamma2[j + 1 :]]))
+
+
+def test_heights_bounded_fails_for_a_parent_cell():
+    rng = np.random.default_rng(46)
+    qt = build(normalize(random_cloud(rng, 9, 2)))
+    dec = build_wssd(qt, 0.5, 2)
+    assert heights_bounded(dec, 2)
+    # The cell closest to the bound, swapped for its parent, doubles its side.
+    _, k, j, m = max(
+        (2.0**c.height / t.rad, k, j, m)
+        for k in (1, 2)
+        for j, t in enumerate(dec.gamma(k))
+        for m, c in enumerate(t.cells)
+    )
+    cells = dec.gamma(k)[j].cells
+    parent = qt.cell_containing(qt.rep(cells[m]), cells[m].height + 1)
+    swapped = WST(cells[:m] + (parent,) + cells[m + 1 :])
+    gammas = [list(dec.gamma(1)), list(dec.gamma(2))]
+    gammas[k - 1][j] = swapped
+    assert not heights_bounded(WSSD(dec.epsilon, gammas), 2)
 
 
 def test_gamma1_matches_half_eps_wspd():
