@@ -25,13 +25,19 @@ from .complexes import cech_filtration
 from .errors import InvalidInput
 from .geometry import meb, meb_of_cells, min_pairwise_distance
 from .homology import SComplex, Tower, VertexMap
-from .quadtree import Cell, Quadtree, cell_index_of, qcell
-from .wssd import WSSD, _bracket_pow2
+from .quadtree import Cell, Quadtree, cell_index_of, dyadic_height, qcell
+from .wssd import WSSD
 
 
 def theta_value(eps: float, ell: int) -> float:
     """theta_l = (1 + eps/2)^l, the l-th discretized scale."""
-    return (1.0 + eps / 2.0) ** ell
+    try:
+        theta = (1.0 + eps / 2.0) ** ell
+    except OverflowError:
+        theta = math.inf
+    if not 0.0 < theta < math.inf:
+        raise InvalidInput(f"theta_l = (1 + eps/2)^l is not a positive finite float at l={ell}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,9 @@ class ScaleParams:
 
 def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
     """k_alpha with theta_k <= alpha < theta_{k+1}, and the grid height
-    h_alpha with 2^h <= eps*theta_k/(3*sqrt(d)) <= 2^(h+1)."""
-    if alpha <= 0.0:
-        raise InvalidInput(f"alpha must be positive, got {alpha}")
+    h_alpha with 2^h <= eps*theta_k/(3*sqrt(d)) < 2^(h+1)."""
+    if not 0.0 < alpha < math.inf:
+        raise InvalidInput(f"alpha must be positive and finite, got {alpha}")
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must be in (0,1), got {eps}")
     k = int(math.floor(math.log(alpha) / math.log(1.0 + eps / 2.0)))
@@ -58,7 +64,7 @@ def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
         k -= 1
     while theta_value(eps, k + 1) <= alpha:
         k += 1
-    h = _bracket_pow2(eps * theta_value(eps, k) / (3.0 * math.sqrt(d)))
+    h = dyadic_height(eps * theta_value(eps, k) / (3.0 * math.sqrt(d)))
     return ScaleParams(eps, alpha, k, h)
 
 
@@ -90,12 +96,14 @@ def build_A(
         raise InvalidInput("WSSD must be built with parameter eps/12")
     params = scale_params(alpha, eps, qt.d)
     h, theta_k = params.h_alpha, params.theta_k
+    if h < qt.L - 1024:  # cell indices below 2^(L-h) must stay finite floats
+        raise InvalidInput(f"grid height {h} at alpha={alpha} is too fine for the cloud")
     if rad_cache is None:
         rad_cache = {}
 
     # The cells of a simplex are within 2 theta_k <= 2^top of each other,
     # so their ancestors at height `top` are equal or adjacent.
-    top = _bracket_pow2(2.0 * theta_k) + 1
+    top = dyadic_height(theta_k) + 2
     later = {}  # cell -> the larger cells in its own and adjacent buckets
     for a, group in qt.buckets(h, top).items():
         near = qt.near(Cell(top, a), h)
@@ -178,6 +186,8 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
     ell_min, ell_max = ell_range
     if ell_max < ell_min:
         raise InvalidInput("empty scale range")
+    # theta is monotone in l, so an unrepresentable scale shows at an end.
+    theta_value(eps, ell_min), theta_value(eps, ell_max)
     scales = [theta_value(eps, ell) for ell in range(ell_min, ell_max + 1)]
     rad_cache: dict = {}  # cell-tuple radii, shared by every scale
     complexes = [build_A(qt, wssd, s, eps, rad_cache=rad_cache) for s in scales]

@@ -47,9 +47,13 @@ def load_points(path: str) -> np.ndarray:
 
 
 def load_diagram(path: str) -> homology.PersistenceDiagram:
+    """A bare diagram list, or the `diagram` field of a command's report."""
     try:
         with open(path) as fh:
-            return homology.PersistenceDiagram.from_json_obj(json.load(fh))
+            obj = json.load(fh)
+        if isinstance(obj, dict):
+            obj = obj["diagram"]
+        return homology.PersistenceDiagram.from_json_obj(obj)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"{path}: cannot read a diagram: {exc}") from None
 
@@ -128,11 +132,16 @@ def cmd_approx(args) -> dict:
     )
     tower = approx.build_tower(qt, decomposition, args.eps, rng)
     dgm = homology.tower_diagram(tower, args.pmax)
+    # The tower lives in the normalized cloud; report in input units.
+    unit = cloud.to_original_length
+    dgm = homology.PersistenceDiagram(
+        {p: [(unit(b), unit(d)) for b, d in pts] for p, pts in dgm.points.items()}
+    )
     return {
         "command": "approx",
         "eps": args.eps,
         "ell_range": list(rng),
-        "scales": tower.scales,
+        "scales": [unit(s) for s in tower.scales],
         "diagram": dgm.to_json_obj(),
     }
 

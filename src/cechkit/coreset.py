@@ -82,7 +82,8 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
     ball of the current set is solved once per round.  Removing a point
     strictly inside it leaves the radius at r, and no later candidate
     can beat r by the 1e-12 tie margin, so such a point takes r without
-    a solve and ends the scan.
+    a solve and ends the scan.  A boundary winner's scan solve is the
+    next round's ball; an interior winner's is solved afresh.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -96,19 +97,20 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
     while len(current) > dlt:
         r, center = res.radius, tuple(res.ball.center)
         inside = r * (1.0 - TAU_GEOM) - 1e-12
-        best_rad, best_drop = -1.0, None
+        best_rad, best_drop, best_res = -1.0, None, None
         for drop in current:
             interior = math.dist(pts[drop], center) < inside
             if interior:
-                rad = r
+                rad, solved = r, None
             else:
-                rad = meb(pts[[i for i in current if i != drop]]).radius
+                solved = meb(pts[[i for i in current if i != drop]])
+                rad = solved.radius
             if rad > best_rad * (1.0 + 1e-12):
-                best_rad, best_drop = rad, drop
+                best_rad, best_drop, best_res = rad, drop, solved
             if interior:
                 break
         current.remove(best_drop)
-        res = meb(pts[current])
+        res = best_res if best_res is not None else meb(pts[current])
 
     factor = full_rad / res.radius if res.radius > 0 else 1.0
     return CoresetResult(tuple(current), "radius", eps, factor)

@@ -1,12 +1,13 @@
 """GF(2) persistent homology.
 
 One engine, ``persist_filtration``: classical boundary-matrix column
-reduction of a filtration, columns stored as Python ints (bitsets).  A
-diagram up to dimension pmax reads only the (pmax+1)-skeleton, so that
-is all it reduces, in one facet pass that also checks every entry.  A
-tower of complexes connected by simplicial vertex maps is first turned
-into a filtration with the same diagram, by coning off each vertex
-collapse (``tower_diagram``).
+reduction of a filtration, columns stored as Python ints (bitsets), each
+pair read as soon as its column settles.  A diagram up to dimension pmax
+reads only the (pmax+1)-skeleton, so that is all it reduces, in one
+facet pass that also checks every entry.  A tower of complexes connected
+by simplicial vertex maps is first turned into a filtration with the
+same diagram, by coning off each vertex collapse (``tower_diagram``);
+the same walk checks each map on the complex it relabels.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ class SComplex:
 
     @staticmethod
     def from_simplices(simplices) -> "SComplex":
-        out = set()
-        for s in simplices:
-            out.add(tuple(sorted(set(s))))
-        return SComplex(out)
+        return SComplex({tuple(sorted(set(s))) for s in simplices})
 
     def closure(self) -> "SComplex":
         out = set()
@@ -163,7 +161,7 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
             columns.append(sum(1 << position[f] for f in facets))
 
     low_of: dict[int, int] = {}  # low index -> column index
-    lows: list[int | None] = [None] * len(entries)
+    dgm = PersistenceDiagram()
     for j in range(len(entries)):
         col = columns[j]
         while col:
@@ -173,29 +171,14 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
             col ^= columns[low_of[low]]
         columns[j] = col
         if col:
-            low = col.bit_length() - 1
             low_of[low] = j
-            lows[j] = low
-
-    dgm = PersistenceDiagram()
-    paired = set()
-    for j, low in enumerate(lows):
-        if low is None:
-            continue
-        paired.add(low)
-        paired.add(j)
-        p = len(entries[low][0]) - 1
-        if p > pmax:
-            continue
-        birth, death = entries[low][1], entries[j][1]
-        if birth < death:
-            dgm.add(p, birth, death)
+            p = len(entries[low][0]) - 1
+            birth, death = entries[low][1], entries[j][1]
+            if p <= pmax and birth < death:
+                dgm.add(p, birth, death)
     for j, (s, v) in enumerate(entries):
-        if j in paired or lows[j] is not None:
-            continue
-        p = len(s) - 1
-        if p <= pmax:
-            dgm.add(p, v, INF)
+        if not columns[j] and j not in low_of and len(s) <= pmax + 1:
+            dgm.add(len(s) - 1, v, INF)
     return dgm
 
 
@@ -238,7 +221,8 @@ def _coned_filtration(tower: Tower) -> dict:
     target complex outside the image then enter at the same scale.
     Vertices are relabelled to integers: an image vertex takes the id of
     its fibre's survivor and a new vertex a fresh id, so no later vertex
-    reuses the id of a removed one.
+    reuses the id of a removed one.  The collapsed complex is the map's
+    image, so the map is simplicial iff it lies in the relabelled target.
     """
     value: dict = {}
     ids: dict = {}
@@ -247,12 +231,9 @@ def _coned_filtration(tower: Tower) -> dict:
     for i, K in enumerate(tower.complexes):
         scale = 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
         if i > 0:
-            f = tower.maps[i - 1]
-            if not f.is_simplicial():
-                raise InvalidInput("map is not simplicial")
             fibres: dict = {}
-            for x in tower.complexes[i - 1].vertices():
-                fibres.setdefault(f.mapping[x], []).append(ids[x])
+            for x in verts:
+                fibres.setdefault(tower.maps[i - 1].mapping[x], []).append(ids[x])
             ids = {}
             for w, (v, *rest) in fibres.items():
                 for u in rest:
@@ -267,10 +248,13 @@ def _coned_filtration(tower: Tower) -> dict:
                     current.difference_update(star_u)
                     current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
                 ids[w] = v
-        for x in K.vertices():
+        verts = K.vertices()
+        for x in verts:
             if x not in ids:
                 ids[x] = next(fresh)
-        current = {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
+        image, current = current, {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
+        if not image <= current:
+            raise InvalidInput("map is not simplicial")
         for s in current:
             value.setdefault(s, scale)
     return value
@@ -285,9 +269,7 @@ def tower_diagram(tower: Tower, pmax: int) -> PersistenceDiagram:
 def filtration_tower(filt) -> Tower:
     """Inclusion tower of a filtration sampled at all its critical values."""
     values = sorted({v for _, v in filt.entries})
-    complexes = []
-    for v in values:
-        complexes.append(SComplex(filt.complex_at(v, tol=0.0)))
+    complexes = [SComplex(filt.complex_at(v, tol=0.0)) for v in values]
     maps = [
         VertexMap(complexes[i], complexes[i + 1], {u: u for u in complexes[i].vertices()})
         for i in range(len(complexes) - 1)

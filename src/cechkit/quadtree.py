@@ -86,6 +86,13 @@ class Cell(NamedTuple):
         return self.distance_to_point(ball.center) <= ball.radius + tol
 
 
+def dyadic_height(x: float) -> int:
+    """The integer h with 2^h <= x < 2^(h+1), read off the float's exponent."""
+    if not 0.0 < x < math.inf:
+        raise InvalidInput(f"positive finite value required, got {x}")
+    return math.frexp(x)[1] - 1
+
+
 def cell_index_of(x, h: int) -> tuple[int, ...]:
     """Lattice index of the height-h cell containing point x."""
     side = 2.0 ** h
@@ -227,7 +234,7 @@ class Quadtree:
         corner within r + tol + 2^h < 2^H of the center on every axis, so
         its ancestor at H is the center's height-H cell or a neighbour.
         """
-        H = max(h, math.frexp((ball.radius + 1e-12 + 2.0 ** h) * (1.0 + 1e-9))[1])
+        H = max(h, dyadic_height((ball.radius + 1e-12 + 2.0 ** h) * (1.0 + 1e-9)) + 1)
         anchor = Cell(H, cell_index_of(ball.center, H))
         return sorted(c for c in self.near(anchor, h) if c.intersects_ball(ball))
 

@@ -81,6 +81,9 @@ def _materialize(qt: Quadtree, u: Cell, v: Cell, eps: float) -> WSPair | None:
         return WSPair(u, v)
 
     dist = _node_dist(qt, u, v)
+    # Not quadtree.dyadic_height: log2 rounds a value one ulp below a power
+    # of two up to it, which at a normalized cloud's closest pair is the
+    # exact-arithmetic height, and the pair keys depend on that start.
     h = math.floor(math.log2(eps * dist / (2.0 * math.sqrt(qt.d))))
     for _ in range(_MATERIALIZE_CAP):
         cu = qt.cell_containing(qt.points_in(u)[0], min(h, u.height)) if single_u else u

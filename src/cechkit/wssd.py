@@ -18,27 +18,13 @@ import numpy as np
 from .diagram import perfect_matching
 from .errors import InvalidInput
 from .geometry import Ball, MebResult, meb, meb_of_cells
-from .quadtree import Cell, Quadtree
+from .quadtree import Cell, Quadtree, dyadic_height
 from .wspd import _expansion_sample_check, build_wspd
 
 
-def _bracket_pow2(x: float) -> int:
-    """Integer h with 2^h <= x <= 2^(h+1); exact powers of two map to log2(x)."""
-    if x <= 0.0:
-        raise InvalidInput(f"positive value required, got {x}")
-    h = int(math.floor(math.log2(x)))
-    while 2.0 ** h > x:
-        h -= 1
-    while 2.0 ** (h + 1) < x:
-        h += 1
-    return h
-
-
 def grid_height_for(r: float, eps: float, d: int) -> int:
-    """Height h of the expansion grid: 2^h <= eps*r/(2*sqrt(d)) <= 2^(h+1)."""
-    if r <= 0.0:
-        raise InvalidInput(f"radius must be positive, got {r}")
-    return _bracket_pow2(eps * r / (2.0 * math.sqrt(d)))
+    """Height h of the expansion grid: 2^h <= eps*r/(2*sqrt(d)) < 2^(h+1)."""
+    return dyadic_height(eps * r / (2.0 * math.sqrt(d)))
 
 
 @dataclass

@@ -64,6 +64,17 @@ def test_scale_params_interval_invariance():
         assert p.h_alpha == scale_params(lo, eps, 2).h_alpha
 
 
+def test_scales_outside_float_range_are_rejected():
+    # theta_l overflows above l = 3180 and underflows to 0 far below; the
+    # message names the exponent.  A non-finite alpha is no scale either.
+    for ell in (5000, -5000):
+        with pytest.raises(InvalidInput, match=f"l={ell}"):
+            theta_value(0.5, ell)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="alpha"):
+            scale_params(alpha, 0.5, 2)
+
+
 def test_theta_bracket_for_height():
     p = scale_params(2.7, 0.4, 3)
     x = p.eps * p.theta_k / (3.0 * math.sqrt(3))
@@ -78,6 +89,14 @@ def test_build_A_tiny_scale_vertices_only():
     a = build_A(qt, dec, 1e-4, 0.5)
     assert a.complex.max_dim() == 0
     assert len(a.complex.vertices()) == 3
+
+
+def test_build_A_rejects_a_grid_too_fine_for_float_indices():
+    # theta_-3300 is a subnormal float; its grid height is below -1024, so
+    # a cell index of the normalized cloud would overflow.
+    qt, dec = make(TRIANGLE, 0.5)
+    with pytest.raises(InvalidInput, match="too fine"):
+        build_A(qt, dec, theta_value(0.5, -3300), 0.5)
 
 
 def test_build_A_huge_scale_contractible():

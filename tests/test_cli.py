@@ -248,6 +248,30 @@ def test_compare(capsys, tmp_path, triangle_file):
     assert rep["matched_at_c"]
 
 
+@pytest.mark.parametrize("factor", [1000.0, 0.001])
+def test_compare_reads_reports_and_approx_reports_input_units(capsys, tmp_path, factor):
+    # `approx` must report in the input's units, as `cech` does, for the
+    # two reports to be compared at all.
+    pts = factor * random_cloud(np.random.default_rng(3), 9, 2)
+    path = tmp_path / "cloud.txt"
+    path.write_text("".join(f"{float(x)!r} {float(y)!r}\n" for x, y in pts))
+    eps = 0.5
+    for command, extra in (("cech", []), ("approx", ["--eps", str(eps)])):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(path), "--pmax", "1", "--out", str(out), *extra]) == 0
+    code, rep = run(
+        capsys, ["compare", str(tmp_path / "approx.json"), str(tmp_path / "cech.json")]
+    )
+    assert code == 0
+    assert rep["log_bottleneck"] <= math.log(1.0 + eps) + 1e-9
+
+
+@pytest.mark.parametrize("flag, value", [("--ell-max", "5000"), ("--ell-min", "-5000")])
+def test_approx_ell_outside_float_range_exits_3(capsys, triangle_file, flag, value):
+    assert main(["approx", triangle_file, flag, value]) == 3
+    assert f"l={value}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -281,6 +305,7 @@ def test_negative_pmax_exits_3(capsys, triangle_file, command):
         ("missing.json", None),
         ("text.json", "not json\n"),
         ("coord.json", '[{"p": 0, "points": [["x", 1]]}]'),
+        ("report.json", '{"command": "cech", "n": 3}'),
     ],
 )
 def test_compare_unreadable_diagram_exits_2(capsys, tmp_path, name, text):

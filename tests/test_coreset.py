@@ -150,8 +150,9 @@ def test_greedy_skips_solves_for_interior_points(monkeypatch):
     # The centroid of the standard simplex in R^4 comes first and lies
     # strictly inside the ball: round 1 removes it without a solve.  The
     # four vertices then need 4 and 3 candidate solves.  One solve for the
-    # whole set (it also serves round 1) and one after each removal make
-    # 1 + 3 + 4 + 3 = 11 calls, against 14 with a solve per candidate.
+    # whole set (it also serves round 1) and one after the interior
+    # removal make 1 + 1 + 4 + 3 = 9 calls: a boundary winner's candidate
+    # solve is the next round's ball.  A solve per candidate makes 14.
     calls = []
 
     def spy(points):
@@ -162,8 +163,8 @@ def test_greedy_skips_solves_for_interior_points(monkeypatch):
     monkeypatch.setattr(coreset_module, "meb", spy)
     res = radius_coreset_greedy(pts, 0.45)
     assert res.subset == _ref_greedy(pts, 0.45)[0] == (3, 4)
-    assert len(calls) == 11
-    assert calls == [5, 4] + [3] * 5 + [2] * 4
+    assert len(calls) == 9
+    assert calls == [5, 4] + [3] * 4 + [2] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,30 @@ def test_tower_rejects_non_simplicial_map():
             tower_diagram(t, p)
 
 
+def test_tower_checks_each_map_on_the_complex_it_maps():
+    # The map's own domain is L, where the identity is simplicial; on the
+    # tower's K it sends the edge (0, 1) to an edge that L lacks.
+    K = SComplex({(0,), (1,), (0, 1)})
+    L = SComplex({(0,), (1,)})
+    t = Tower([K, L], [VertexMap(L, L, {0: 0, 1: 1})], [1.0, 2.0])
+    for p in (0, 1):
+        with pytest.raises(InvalidInput, match="not simplicial"):
+            tower_diagram(t, p)
+
+
+def test_tower_rejects_a_merge_onto_a_missing_edge():
+    # 0 and 1 merge, so the path's edge (1, 2) lands on (0, 2): only the
+    # complex after the collapse shows it, and the target lacks that edge.
+    K = SComplex.from_simplices([(0, 1), (1, 2)]).closure()
+    merge = {0: 0, 1: 0, 2: 2}
+    L = SComplex({(0,), (2,)})
+    with pytest.raises(InvalidInput, match="not simplicial"):
+        tower_diagram(Tower([K, L], [VertexMap(K, L, merge)], [1.0, 2.0]), 0)
+    L2 = SComplex({(0,), (2,), (0, 2)})
+    t = Tower([K, L2], [VertexMap(K, L2, merge)], [1.0, 2.0])
+    assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
+
+
 # ---------------------------------------------------------------------------
 # towers
 
@@ -587,6 +611,115 @@ def test_tower_matches_oracle_tower2d_workload():
             args, _ = wl.inputs(seed, index)
             _, tower, _ = W.op_tower(**args)
             assert_matches_oracle(tower)
+
+
+# ---------------------------------------------------------------------------
+# the tower walk and the persistence readout before they shared passes with
+# the collapses and the reduction, kept as their oracle
+
+def ref_coned_filtration(tower):
+    """Coned filtration with a separate simpliciality pass over each map's
+    own domain and codomain, and each fibre listed from the domain again."""
+    value, ids, fresh, current = {}, {}, itertools.count(), set()
+    for i, K in enumerate(tower.complexes):
+        scale = 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
+        if i > 0:
+            f = tower.maps[i - 1]
+            if not f.is_simplicial():
+                raise InvalidInput("map is not simplicial")
+            fibres = {}
+            for x in tower.complexes[i - 1].vertices():
+                fibres.setdefault(f.mapping[x], []).append(ids[x])
+            ids = {}
+            for w, (v, *rest) in fibres.items():
+                for u in rest:
+                    star_u = [s for s in current if u in s]
+                    star_v = [s for s in current if v in s]
+                    if len(star_u) > len(star_v):
+                        u, v, star_u = v, u, star_v
+                    for s in star_u:
+                        for k in range(1, len(s) + 1):
+                            for face in itertools.combinations(s, k):
+                                value.setdefault(tuple(sorted({*face, v})), scale)
+                    current.difference_update(star_u)
+                    current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
+                ids[w] = v
+        for x in K.vertices():
+            if x not in ids:
+                ids[x] = next(fresh)
+        current = {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
+        for s in current:
+            value.setdefault(s, scale)
+    return value
+
+
+def ref_persist(filt, pmax):
+    """Column reduction that records every low, then reads the pairs and
+    the unpaired simplices in two more loops."""
+    entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
+    position = {s: i for i, (s, _) in enumerate(entries)}
+    columns = [
+        sum(1 << position[f] for f in itertools.combinations(s, len(s) - 1)) if len(s) > 1 else 0
+        for s, _ in entries
+    ]
+    low_of, lows = {}, [None] * len(entries)
+    for j in range(len(entries)):
+        col = columns[j]
+        while col and (col.bit_length() - 1) in low_of:
+            col ^= columns[low_of[col.bit_length() - 1]]
+        columns[j] = col
+        if col:
+            low_of[col.bit_length() - 1] = j
+            lows[j] = col.bit_length() - 1
+    dgm, paired = PersistenceDiagram(), set()
+    for j, low in enumerate(lows):
+        if low is None:
+            continue
+        paired.update((low, j))
+        p = len(entries[low][0]) - 1
+        if p <= pmax and entries[low][1] < entries[j][1]:
+            dgm.add(p, entries[low][1], entries[j][1])
+    for j, (s, v) in enumerate(entries):
+        if j not in paired and lows[j] is None and len(s) - 1 <= pmax:
+            dgm.add(len(s) - 1, v, INF)
+    return dgm
+
+
+def oracle_towers():
+    """tower2d seeds 0-2, inclusion towers of seeded Cech and Rips
+    filtrations, and seeded random vertex-map towers."""
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["tower2d"]
+    for seed in range(3):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            yield W.op_tower(**args)[1]
+    rng = np.random.default_rng(66)
+    for trial in range(12):
+        pts = random_cloud(rng, 4 + trial % 4, 2 + trial % 2)
+        build = cech_filtration if trial % 2 else rips_filtration
+        yield filtration_tower(build(pts, 2 + trial % 2))
+    for trial in range(60):
+        yield random_vertex_map_tower(rng, births_at_zero=trial % 2 == 0)
+
+
+def test_tower_walk_and_readout_match_their_two_pass_versions():
+    for tower in oracle_towers():
+        coned = _coned_filtration(tower)
+        assert sorted(coned.items()) == sorted(ref_coned_filtration(tower).items())
+        filt = Filtration(list(coned.items()))
+        for pmax in (0, 1, 2):
+            assert tower_diagram(tower, pmax).points == ref_persist(filt, pmax).points, pmax
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_persist_readout_matches_the_two_loop_version(seed):
+    rng = np.random.default_rng([67, seed])
+    pts = random_cloud(rng, 5 + seed, 2 + seed % 2)
+    cech = cech_filtration(pts, 3)
+    for filt in (cech, rips_filtration(pts, 3), completion(cech, 1, 3)):
+        for pmax in range(3):
+            assert persist_filtration(filt, pmax).points == ref_persist(filt, pmax).points
 
 
 # ---------------------------------------------------------------------------

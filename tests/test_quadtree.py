@@ -1,13 +1,14 @@
 """Normalization, quadtree levels, ancestors, grid queries."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cechkit.errors import DegenerateInput, InvalidInput
 from cechkit.geometry import Ball
-from cechkit.quadtree import Cell, build, cell_index_of, normalize, qcell
+from cechkit.quadtree import Cell, build, cell_index_of, dyadic_height, normalize, qcell
 
 from conftest import random_cloud
 
@@ -93,6 +94,31 @@ def test_grid_partition_and_leaf_uniqueness():
         assert ids == list(range(15))
     # normalization gap exceeds the height-0 cell diameter at depth -1
     assert all(len(ids) == 1 for ids in qt.level(-1).values())
+
+
+def _ref_bracket_pow2(x):
+    """log2 and a correction loop: the rule dyadic_height replaced."""
+    h = int(math.floor(math.log2(x)))
+    while 2.0**h > x:
+        h -= 1
+    while 2.0 ** (h + 1) < x:
+        h += 1
+    return h
+
+
+def test_dyadic_height_brackets_every_float():
+    rng = np.random.default_rng(72)
+    values = [math.ldexp(1.0, e) for e in range(-1070, 1020)]
+    values += [math.nextafter(v, side) for v in values for side in (0.0, math.inf)]
+    values += [5e-324, 2.2e-308] + list(np.exp(rng.uniform(-700, 700, 2000)))
+    for x in values:
+        h = dyadic_height(x)
+        assert h == _ref_bracket_pow2(x), x
+        assert math.ldexp(1.0, h) <= x < math.ldexp(1.0, h + 1), x
+    assert dyadic_height(sys.float_info.max) == 1023
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            dyadic_height(bad)
 
 
 def test_qcell_examples():
