@@ -29,12 +29,17 @@ from .quadtree import Cell, Quadtree, cell_index_of, dyadic_height, qcell
 from .wssd import WSSD
 
 
+def _theta(eps: float, ell: int) -> float:
+    """(1 + eps/2)^l; inf where it overflows, so above every finite alpha."""
+    try:
+        return (1.0 + eps / 2.0) ** ell
+    except OverflowError:
+        return math.inf
+
+
 def theta_value(eps: float, ell: int) -> float:
     """theta_l = (1 + eps/2)^l, the l-th discretized scale."""
-    try:
-        theta = (1.0 + eps / 2.0) ** ell
-    except OverflowError:
-        theta = math.inf
+    theta = _theta(eps, ell)
     if not 0.0 < theta < math.inf:
         raise InvalidInput(f"theta_l = (1 + eps/2)^l is not a positive finite float at l={ell}")
     return theta
@@ -60,9 +65,9 @@ def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must be in (0,1), got {eps}")
     k = int(math.floor(math.log(alpha) / math.log(1.0 + eps / 2.0)))
-    while theta_value(eps, k) > alpha:
+    while _theta(eps, k) > alpha:
         k -= 1
-    while theta_value(eps, k + 1) <= alpha:
+    while _theta(eps, k + 1) <= alpha:
         k += 1
     h = dyadic_height(eps * theta_value(eps, k) / (3.0 * math.sqrt(d)))
     return ScaleParams(eps, alpha, k, h)
@@ -97,7 +102,7 @@ def build_A(
     params = scale_params(alpha, eps, qt.d)
     h, theta_k = params.h_alpha, params.theta_k
     if h < qt.L - 1024:  # cell indices below 2^(L-h) must stay finite floats
-        raise InvalidInput(f"grid height {h} at alpha={alpha} is too fine for the cloud")
+        raise InvalidInput(f"grid height {h} at l={params.k_alpha} is too fine for the cloud")
     if rad_cache is None:
         rad_cache = {}
 

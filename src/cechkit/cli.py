@@ -132,7 +132,8 @@ def cmd_approx(args) -> dict:
     )
     tower = approx.build_tower(qt, decomposition, args.eps, rng)
     dgm = homology.tower_diagram(tower, args.pmax)
-    # The tower lives in the normalized cloud; report in input units.
+    # The tower lives in the normalized cloud; report in input units, with
+    # a scale that overflows there written "inf" as in diagrams.
     unit = cloud.to_original_length
     dgm = homology.PersistenceDiagram(
         {p: [(unit(b), unit(d)) for b, d in pts] for p, pts in dgm.points.items()}
@@ -141,7 +142,7 @@ def cmd_approx(args) -> dict:
         "command": "approx",
         "eps": args.eps,
         "ell_range": list(rng),
-        "scales": [unit(s) for s in tower.scales],
+        "scales": [s if s < math.inf else "inf" for s in map(unit, tower.scales)],
         "diagram": dgm.to_json_obj(),
     }
 
@@ -193,9 +194,8 @@ def cmd_validate(args) -> dict:
             pts, args.eps, [rng.uniform(0.1, 2.0) for _ in range(5)]
         )
         out["checks"]["completion_sandwich"] = report.ok
-        jung = coreset.jung_check(pts) if pts.shape[0] <= 16 else None
-        if jung is not None:
-            out["checks"]["jung"] = jung.ok
+    if 2 <= pts.shape[0] <= 16:
+        out["checks"]["jung"] = coreset.jung_check(pts).ok
     out["ok"] = all(out["checks"].values())
     return out
 

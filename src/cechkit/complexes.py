@@ -91,7 +91,7 @@ def cech_filtration(points, kmax: int) -> Filtration:
     meb, is also the simplex's meb, so the simplex takes it without a
     solve.  Otherwise every vertex is a support point, and the meb is
     the circumball of all k+1 vertices; a degenerate circumball solve
-    falls back to Welzl's `meb`.  Each value is finally raised to the
+    falls back to `meb`.  Each value is finally raised to the
     largest facet value: rounding, and inheriting a ball that holds its
     vertex only up to the slack, could otherwise leave a facet a hair
     above its coface.  Above dimension d a meb has at most d+1 support

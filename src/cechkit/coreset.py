@@ -28,12 +28,12 @@ def delta(eps: float) -> int:
     """Tight radius-coreset size ceil(1/(2*eps + eps^2) + 1).
 
     A small tolerance keeps near-integer arguments (eps = sqrt(2) - 1
-    gives exactly 2) from rounding up spuriously.
+    gives exactly 2) from rounding up spuriously; the size stays >= 2.
     """
-    if eps <= 0:
-        raise InvalidInput(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidInput(f"eps must be positive and finite, got {eps}")
     value = 1.0 / (2.0 * eps + eps * eps) + 1.0
-    return int(math.ceil(value - _CEIL_TOL))
+    return max(2, int(math.ceil(value - _CEIL_TOL)))
 
 
 def r_k(points, k: int) -> float:
@@ -201,8 +201,8 @@ def jung_check(points) -> JungReport:
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
-    if n > _ENUM_CAP:
-        raise InvalidInput(f"subset enumeration capped at n <= {_ENUM_CAP}")
+    if not 2 <= n <= _ENUM_CAP:
+        raise InvalidInput(f"jung_check needs 2 <= n <= {_ENUM_CAP} points, got {n}")
 
     top = min(n, d + 1)
     radii = {k: r_k(pts, k) for k in range(2, top + 1)}

@@ -1,28 +1,26 @@
 """Exact low-dimensional geometric primitives.
 
-Minimum enclosing balls are computed by Welzl's move-to-front algorithm
-with support sets of at most d+1 points; this is exact (up to floating
-point) and practical for d <= 12, which covers everything the rest of
-the library needs.  The recursion runs on Python floats: points are
-tuples and every containment test is one `math.dist` (`covers`).  Its
-one numeric kernel is `circumball`: with the rows of V the offsets of
-the boundary points from the first one, p0, the center is
-p0 + lambda V where lambda solves the small Gram system
-(V V^T) lambda = diag(V V^T) / 2, the minimum-norm center in the
-boundary's affine hull.  Boundaries of at most three points are solved
-in closed form (the point, the midpoint, Cramer's rule on the 2x2
-system); larger ones, and a singular 2x2 system, go to a numpy solve,
-which falls back to least squares for an affinely dependent boundary.
-Balls of cell unions reduce to the ball of all distinct cell corners,
-since the meb of a convex polytope equals the meb of its vertex set.
+Minimum enclosing balls use Gaertner's pivoting (ESA 1999): the point
+farthest from the center joins a support list, whose ball Welzl's
+move-to-front solves with boundaries of at most d+1 points.  This is
+exact up to floating point, deterministic, and practical for d <= 12.
+The loop runs on Python floats: points are tuples and every containment
+test is one `math.dist` (`covers`).  Its one numeric kernel is
+`circumball`: with the rows of V the offsets of the boundary points from
+the first one, p0, the center is p0 + lambda V where lambda solves the
+small Gram system (V V^T) lambda = diag(V V^T) / 2, the minimum-norm
+center in the boundary's affine hull.  Boundaries of at most three
+points are solved in closed form (the point, the midpoint, Cramer's rule
+on the 2x2 system); larger ones, and a singular 2x2 system, go to a
+numpy solve, which falls back to least squares for an affinely
+dependent boundary.  The ball of a union of cells is the ball of their
+corners, whose convex hull holds the union (`meb_of_cells`).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from operator import mul
 
@@ -152,38 +150,34 @@ def _welzl_mtf(pts: list[tuple], boundary: list[tuple], d: int):
     return center, radius
 
 
-@functools.lru_cache(maxsize=64)
-def _shuffled_order(n: int) -> tuple[int, ...]:
-    """Welzl's insertion order for n points: a fixed-seed shuffle."""
-    order = list(range(n))
-    random.Random(0x5EB1).shuffle(order)
-    return tuple(order)
-
-
 def meb(points) -> MebResult:
-    """Minimum enclosing ball of a nonempty point set in R^d, d <= 12."""
+    """Minimum enclosing ball of a nonempty point set in R^d, d <= 12.
+
+    The farthest point (the first on a tie) joins the front of the
+    support until it is covered or already there; the second stop keeps
+    rounding from cycling, so there are at most n passes.
+    """
     pts = _as_points(points)
-    n, d = pts.shape
+    d = pts.shape[1]
     if d > MAX_MEB_DIM:
         raise InvalidInput(f"dimension {d} exceeds exact meb limit {MAX_MEB_DIM}")
-    if n == 1:
-        return MebResult(Ball(tuple(pts[0]), 0.0), (0,))
 
-    rows = pts.tolist()
-    shuffled = [tuple(rows[i]) for i in _shuffled_order(n)]
-
-    center, radius = shuffled[0], 0.0
-    for i, p in enumerate(shuffled):
-        if not covers(center, radius, p):
-            center, radius = _welzl_mtf(shuffled[:i], [p], d)
+    rows = [tuple(r) for r in pts.tolist()]
+    support = [rows[0]]
+    center, radius = rows[0], 0.0
+    while True:
+        q = max(rows, key=lambda p: math.dist(p, center))
+        if covers(center, radius, q) or q in support:
+            break
+        center, radius = _welzl_mtf(support, [q], d)
+        support.insert(0, q)
 
     # The d+1 lowest indices on the sphere: with more co-spherical points
     # the support then depends on the ball only, not on the last bits of
     # its center.
     tol = radius * TAU_GEOM + 1e-12
     on_boundary = (i for i, q in enumerate(rows) if abs(math.dist(q, center) - radius) <= tol)
-    support = tuple(itertools.islice(on_boundary, d + 1))
-    return MebResult(Ball(center, radius), support)
+    return MebResult(Ball(center, radius), tuple(itertools.islice(on_boundary, d + 1)))
 
 
 def _row_distances(pts: np.ndarray):

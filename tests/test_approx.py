@@ -51,6 +51,13 @@ def test_scale_params_examples():
         scale_params(1.0, 1.5, 2)
 
 
+def test_scale_params_at_the_largest_finite_theta():
+    # theta_{k+1} overflows there, which puts it above alpha.
+    top = theta_value(0.5, 3180)
+    assert scale_params(top, 0.5, 2).k_alpha == 3180
+    assert scale_params(1.7e308, 0.5, 2).k_alpha == 3180
+
+
 def test_scale_params_interval_invariance():
     # All alphas in [theta_k, theta_{k+1}) share k and h.
     rng = np.random.default_rng(71)

@@ -222,6 +222,28 @@ def test_validate(capsys, triangle_file):
     assert rep["checks"]["wssd_covering"]
 
 
+def test_validate_one_point_skips_jung(capsys, tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("0.5 0.5\n")
+    code, rep = run(capsys, ["validate", str(path)])
+    assert code == 0
+    assert "jung" not in rep["checks"]
+    assert rep["ok"]
+
+
+@pytest.mark.parametrize("command", ["completion", "coreset"])
+def test_nan_eps_exits_3(capsys, triangle_file, command):
+    assert main([command, triangle_file, "--eps", "nan"]) == 3
+    assert "eps" in capsys.readouterr().err
+
+
+def test_radius_coreset_for_huge_eps_has_two_points(capsys, triangle_file):
+    code, rep = run(capsys, ["coreset", triangle_file, "--eps", "1e5"])
+    assert code == 0
+    assert rep["size"] == 2
+    assert coreset.is_radius_coreset(TRIANGLE, rep["subset"], 1e5)
+
+
 def test_validate_32_points_is_fast(capsys, tmp_path):
     # The covering check enumerates each tuple's point choices; testing
     # every simplex against every tuple took minutes at this size.
@@ -270,6 +292,24 @@ def test_compare_reads_reports_and_approx_reports_input_units(capsys, tmp_path, 
 def test_approx_ell_outside_float_range_exits_3(capsys, triangle_file, flag, value):
     assert main(["approx", triangle_file, flag, value]) == 3
     assert f"l={value}" in capsys.readouterr().err
+
+
+def test_approx_ell_max_at_float_limit(capsys, triangle_file):
+    # theta_3180 ~ 1.49e308 is finite; theta_3181 overflows and so lies
+    # above every scale.  Scales beyond the float range in input units
+    # are written "inf", as in diagrams, so the report stays JSON.
+    assert main(["approx", triangle_file, "--ell-max", "3180"]) == 0
+    text = capsys.readouterr().out
+    assert "Infinity" not in text
+    rep = json.loads(text)
+    assert rep["ell_range"][1] == 3180
+    assert rep["scales"][-1] == "inf"
+
+
+def test_approx_far_negative_ell_min_names_the_exponent(capsys, triangle_file):
+    # theta_-3300 is a positive subnormal, but its grid is too fine.
+    assert main(["approx", triangle_file, "--ell-min", "-3300"]) == 3
+    assert "l=-3300" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,18 @@ def test_delta_examples():
         delta(0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_delta_rejects_non_finite_eps(eps):
+    with pytest.raises(InvalidInput):
+        delta(eps)
+
+
+def test_delta_at_least_two_for_large_eps():
+    # 1/(2e + e^2) + 1 > 1 always; the ceiling slack must not round it to 1.
+    for eps in (3.2e4, 1e5, 1e150):
+        assert delta(eps) == 2
+
+
 def test_delta_monotone():
     values = [delta(e) for e in np.linspace(0.02, 1.0, 60)]
     assert values == sorted(values, reverse=True)
@@ -234,6 +246,11 @@ def test_jung_on_random_clouds():
     for _ in range(8):
         pts = random_cloud(rng, int(rng.integers(4, 10)), int(rng.integers(2, 5)))
         assert jung_check(pts).ok
+
+
+def test_jung_check_needs_two_points():
+    with pytest.raises(InvalidInput):
+        jung_check([[0.5, 0.5]])
 
 
 def test_jung_equality_on_simplex():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -194,9 +195,10 @@ def _ref_welzl(pts, boundary, d):
 
 
 def ref_meb(points):
-    """(radius, support, boundary): numpy Welzl with the library's shuffle
-    and support certificate; `boundary` is every point the certificate
-    accepts as on the sphere, in its order."""
+    """(radius, support, boundary): numpy Welzl with the fixed-seed shuffle
+    that `meb` ran before its pivot loop, and the library's support
+    certificate; `boundary` is every point the certificate accepts as on
+    the sphere, in its order."""
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     if n == 1:
@@ -259,6 +261,48 @@ def test_meb_support_canonical_on_cospherical_sets():
             res = meb(np.array(pts, dtype=float) + shift)
             assert res.support == support
             assert res.support == ref_meb(np.array(pts, dtype=float) + shift)[1]
+
+
+def test_pivot_meb_matches_shuffled_welzl_on_larger_clouds():
+    # Gaussian clouds, lattice points with many collinear and co-spherical
+    # subsets, points on a sphere (all of them on the boundary), and the
+    # cross-polytope; the oracle's cost grows fast with d, so n shrinks
+    # above d = 9.
+    rng = np.random.default_rng(53)
+    for d in range(2, 13):
+        n = 60 if d <= 9 else 24
+        sphere = rng.standard_normal((n, d))
+        clouds = [
+            rng.standard_normal((n, d)),
+            np.unique(rng.integers(0, 3, size=(n, d)), axis=0).astype(float),
+            sphere / np.linalg.norm(sphere, axis=1, keepdims=True) + 0.3,
+            np.concatenate([np.eye(d), -np.eye(d)]) * 1.5 + 0.25,
+        ]
+        for pts in clouds:
+            assert_same_meb(meb(pts), ref_meb(pts))
+
+
+def test_meb_returns_on_far_offset_tiny_spread_clouds():
+    # A 1e-6 spread at a 1e6 offset keeps only a few bits of the spread,
+    # so the farthest point can stay just outside the ball of a support
+    # that already holds it; the loop must stop there instead of
+    # spinning (in R^1 it did on about one cloud in two).
+    def timed_out(signum, frame):
+        raise TimeoutError("meb did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            n, d = int(rng.integers(2, 21)), int(rng.integers(1, 13))
+            pts = 1e6 + 1e-6 * rng.standard_normal((n, d))
+            res = meb(pts)
+            dists = np.linalg.norm(pts - res.center, axis=1)
+            assert (dists <= res.radius * (1.0 + 1e-3)).all()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_circumball_closed_forms_match_numpy_solve(monkeypatch):
