@@ -58,8 +58,17 @@ def load_diagram(path: str) -> homology.PersistenceDiagram:
         raise ParseError(f"{path}: cannot read a diagram: {exc}") from None
 
 
+def _strict(obj):
+    """The report with every infinite float written "inf", as diagrams do."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(v) for v in obj]
+    return "inf" if obj == math.inf else obj
+
+
 def _write_report(obj, out_path):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(_strict(obj), indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -132,8 +141,7 @@ def cmd_approx(args) -> dict:
     )
     tower = approx.build_tower(qt, decomposition, args.eps, rng)
     dgm = homology.tower_diagram(tower, args.pmax)
-    # The tower lives in the normalized cloud; report in input units, with
-    # a scale that overflows there written "inf" as in diagrams.
+    # The tower lives in the normalized cloud; report in input units.
     unit = cloud.to_original_length
     dgm = homology.PersistenceDiagram(
         {p: [(unit(b), unit(d)) for b, d in pts] for p, pts in dgm.points.items()}
@@ -142,7 +150,7 @@ def cmd_approx(args) -> dict:
         "command": "approx",
         "eps": args.eps,
         "ell_range": list(rng),
-        "scales": [s if s < math.inf else "inf" for s in map(unit, tower.scales)],
+        "scales": [unit(s) for s in tower.scales],
         "diagram": dgm.to_json_obj(),
     }
 
@@ -150,7 +158,7 @@ def cmd_approx(args) -> dict:
 def cmd_compare(args) -> dict:
     d1, d2 = load_diagram(args.dgm_a), load_diagram(args.dgm_b)
     log_c = diagram.bottleneck_log(d1, d2)
-    c = math.exp(log_c) if log_c != math.inf else math.inf
+    c = math.exp(log_c)
     report = diagram.is_c_approximation(d1, d2, c if c != math.inf else 1.0)
     return {
         "command": "compare",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import TAU_GEOM, _as_points, _row_distances, circumball, covers, meb
+from .geometry import TAU_GEOM, _as_points, _pivot, _row_distances, circumball, covers
 
 
 def _entry_key(entry):
@@ -91,7 +91,7 @@ def cech_filtration(points, kmax: int) -> Filtration:
     meb, is also the simplex's meb, so the simplex takes it without a
     solve.  Otherwise every vertex is a support point, and the meb is
     the circumball of all k+1 vertices; a degenerate circumball solve
-    falls back to `meb`.  Each value is finally raised to the
+    falls back to `meb`'s pivot loop.  Each value is finally raised to the
     largest facet value: rounding, and inheriting a ball that holds its
     vertex only up to the slack, could otherwise leave a facet a hair
     above its coface.  Above dimension d a meb has at most d+1 support
@@ -128,15 +128,14 @@ def _all_support_ball(vertices: list[tuple[float, ...]]):
 
     Then every vertex lies on the meb's boundary, so the meb is the
     circumball.  A circumball with a vertex off its sphere (by the
-    support tolerance of `meb`) came from a degenerate solve; `meb`
-    decides then.
+    support tolerance of `meb`) came from a degenerate solve; the pivot
+    loop of `meb` decides then.
     """
     center, radius = circumball(vertices)
     nearest = min(math.dist(center, v) for v in vertices)
     if radius - nearest <= radius * TAU_GEOM + 1e-12:
         return center, radius
-    res = meb(vertices)
-    return res.ball.center, res.radius
+    return _pivot(vertices)[:2]
 
 
 def rips_filtration(points, kmax: int) -> Filtration:

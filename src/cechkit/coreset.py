@@ -5,8 +5,11 @@ ball around the subset's center covers everything), a radius-coreset
 only approximates the radius.  The tight radius-coreset size is
 delta(eps) = ceil(1/(2*eps + eps^2) + 1).
 
-Subset radii r_k are computed by exhaustive enumeration, which also
-powers the Jung-type inequality checks; inputs are capped accordingly.
+The meb-coreset is the pivots of `geometry.meb`'s loop, stopped once
+the (1+eps)-expanded ball covers the farthest point.  The greedy
+radius-coreset solves its candidate balls with that loop too.  Subset
+radii r_k are computed by exhaustive enumeration, which also powers the
+Jung-type inequality checks; inputs are capped accordingly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import TAU_GEOM, meb
+from .geometry import TAU_GEOM, _norms, _pivot, meb
 
 _ENUM_CAP = 16
 _CEIL_TOL = 1e-9
@@ -57,7 +60,7 @@ def is_meb_coreset(points, subset, eps: float) -> bool:
     pts = np.asarray(points, dtype=float)
     res = meb(pts[list(subset)])
     cover = (1.0 + eps) * res.radius
-    dists = np.linalg.norm(pts - res.center, axis=1)
+    dists = _norms(pts - res.center)
     return bool((dists <= cover * (1.0 + 1e-12)).all())
 
 
@@ -85,34 +88,33 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
     a solve and ends the scan.  A boundary winner's scan solve is the
     next round's ball; an interior winner's is solved afresh.
     """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
     dlt = delta(eps)
-    res = meb(pts)
-    full_rad = res.radius
+    res = meb(points)
+    full_rad, center, r = res.radius, res.center, res.radius
+    rows = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
+    n = len(rows)
     if n < dlt:
         return CoresetResult(tuple(range(n)), "radius", eps, 1.0, undersized_input=True)
 
     current = list(range(n))
     while len(current) > dlt:
-        r, center = res.radius, tuple(res.ball.center)
         inside = r * (1.0 - TAU_GEOM) - 1e-12
-        best_rad, best_drop, best_res = -1.0, None, None
+        best_rad, best_drop, best_ball = -1.0, None, None
         for drop in current:
-            interior = math.dist(pts[drop], center) < inside
+            interior = math.dist(rows[drop], center) < inside
             if interior:
                 rad, solved = r, None
             else:
-                solved = meb(pts[[i for i in current if i != drop]])
-                rad = solved.radius
+                solved = _pivot([rows[i] for i in current if i != drop])
+                rad = solved[1]
             if rad > best_rad * (1.0 + 1e-12):
-                best_rad, best_drop, best_res = rad, drop, solved
+                best_rad, best_drop, best_ball = rad, drop, solved
             if interior:
                 break
         current.remove(best_drop)
-        res = best_res if best_res is not None else meb(pts[current])
+        center, r, _ = best_ball or _pivot([rows[i] for i in current])
 
-    factor = full_rad / res.radius if res.radius > 0 else 1.0
+    factor = full_rad / r if r > 0 else 1.0
     return CoresetResult(tuple(current), "radius", eps, factor)
 
 
@@ -133,33 +135,23 @@ def radius_coreset_min(points, eps: float) -> CoresetResult:
 
 
 def meb_coreset(points, eps: float) -> CoresetResult:
-    """Farthest-point heuristic for a meb-coreset.
+    """Badoiu-Clarkson meb-coreset: the pivots of `geometry.meb`'s loop.
 
-    Starts from a point and its farthest partner, then repeatedly adds
-    the point farthest from the current subset's meb center until the
-    (1+eps)-expanded ball covers everything.  The covering invariant is
-    exact; the subset size is not guaranteed minimal.
+    The loop adds the point farthest from the current center until the
+    (1+eps)-expanded ball of the pivots covers everything, so the
+    covering invariant is exact; the subset size is not guaranteed
+    minimal.
     """
     if not (0.0 < eps <= 1.0):
         raise InvalidInput(f"eps must be in (0, 1], got {eps}")
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n == 1:
-        return CoresetResult((0,), "meb", eps, 1.0)
-
-    p0 = 0
-    p1 = int(np.argmax(np.linalg.norm(pts - pts[p0], axis=1)))
-    current = [p0, p1] if p1 != p0 else [p0]
-    while True:
-        res = meb(pts[current])
-        dists = np.linalg.norm(pts - res.center, axis=1)
-        cover = (1.0 + eps) * res.radius
-        if (dists <= cover * (1.0 + 1e-12)).all():
-            full_rad = meb(pts).radius
-            factor = full_rad / res.radius if res.radius > 0 else 1.0
-            return CoresetResult(tuple(sorted(current)), "meb", eps, factor)
-        far = int(np.argmax(np.where(np.isin(np.arange(n), current), -1.0, dists)))
-        current.append(far)
+    full_rad = meb(points).radius
+    rows = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
+    _, radius, support = _pivot(
+        rows, lambda c, r, q: math.dist(q, c) <= (1.0 + eps) * r * (1.0 + 1e-12)
+    )
+    factor = full_rad / radius if radius > 0 else 1.0
+    # A pivot is the first row at its distance, so `index` finds its id.
+    return CoresetResult(tuple(sorted(map(rows.index, support))), "meb", eps, factor)
 
 
 @dataclass
@@ -169,18 +161,13 @@ class JungReport:
     pairwise: dict = field(default_factory=dict)  # (i, j) -> (lhs, bound, slack)
     jung_uniform: tuple[float, float] | None = None
     jung_printed: tuple[float, float] | None = None
-    face_lemma: list = field(default_factory=list)
     telescoping_max_err: float = 0.0
 
     @property
     def ok(self) -> bool:
-        tol = 1e-9
-        if any(lhs > bound * (1.0 + tol) + 1e-12 for lhs, bound, _ in self.pairwise.values()):
-            return False
-        for lhs, bound in (self.jung_uniform, self.jung_printed):
-            if lhs > bound * (1.0 + tol) + 1e-12:
-                return False
-        return self.telescoping_max_err <= tol
+        pairs = [p[:2] for p in self.pairwise.values()] + [self.jung_uniform, self.jung_printed]
+        bad = any(lhs > bound * (1.0 + 1e-9) + 1e-12 for lhs, bound in pairs)
+        return not bad and self.telescoping_max_err <= 1e-9
 
 
 def telescoping_identity(j: int, i: int) -> tuple[float, float]:

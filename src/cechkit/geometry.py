@@ -1,20 +1,19 @@
 """Exact low-dimensional geometric primitives.
 
-Minimum enclosing balls use Gaertner's pivoting (ESA 1999): the point
-farthest from the center joins a support list, whose ball Welzl's
-move-to-front solves with boundaries of at most d+1 points.  This is
-exact up to floating point, deterministic, and practical for d <= 12.
-The loop runs on Python floats: points are tuples and every containment
-test is one `math.dist` (`covers`).  Its one numeric kernel is
-`circumball`: with the rows of V the offsets of the boundary points from
-the first one, p0, the center is p0 + lambda V where lambda solves the
-small Gram system (V V^T) lambda = diag(V V^T) / 2, the minimum-norm
-center in the boundary's affine hull.  Boundaries of at most three
-points are solved in closed form (the point, the midpoint, Cramer's rule
-on the 2x2 system); larger ones, and a singular 2x2 system, go to a
-numpy solve, which falls back to least squares for an affinely
-dependent boundary.  The ball of a union of cells is the ball of their
-corners, whose convex hull holds the union (`meb_of_cells`).
+One pivot loop (Gaertner, ESA 1999) on rows of Python floats serves
+every minimum enclosing ball: the point farthest from the center joins
+a support list, whose ball Welzl's move-to-front solves with boundaries
+of at most d+1 points.  Stopped when that point is covered, it gives the
+meb, exact up to floating point and deterministic for d <= 12; stopped
+when the (1+eps)-expanded ball covers it, its pivots are a
+Badoiu-Clarkson meb-coreset.  Only the public `meb` validates outside
+input.  The one numeric kernel, `circumball`, solves the Gram system
+(V V^T) lambda = diag(V V^T) / 2 of the boundary offsets V from p0 for
+the minimum-norm center p0 + lambda V: in closed form up to three
+points, else by a numpy solve with a least-squares fallback.  The ball
+of a union of cells is the ball of their corners (`meb_of_cells`).
+Distances scale each difference by a power of two before squaring, so
+they neither under- nor overflow.
 """
 
 from __future__ import annotations
@@ -49,13 +48,8 @@ class Ball:
         if self.radius < 0:
             raise InvalidInput(f"negative radius {self.radius}")
 
-    @property
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
     def contains(self, point, tol: float = TAU_GEOM) -> bool:
-        d = float(np.linalg.norm(np.asarray(point, dtype=float) - self.center_array))
-        return d <= self.radius * (1.0 + tol) + tol
+        return math.dist(point, self.center) <= self.radius * (1.0 + tol) + tol
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,8 @@ class MebResult:
         return self.ball.radius
 
     @property
-    def center(self) -> np.ndarray:
-        return self.ball.center_array
+    def center(self) -> tuple[float, ...]:
+        return self.ball.center
 
 
 def _as_points(points) -> np.ndarray:
@@ -136,8 +130,9 @@ def circumball(boundary) -> tuple[tuple[float, ...], float]:
 
 
 def covers(center, radius: float, q) -> bool:
-    """True iff the ball (center, radius) contains q up to the Welzl slack."""
-    return math.dist(q, center) <= radius * (1.0 + _WELZL_SLACK) + 1e-14
+    """True iff the ball (center, radius) contains q up to the Welzl slack,
+    which is relative only, so the answer does not depend on the scale."""
+    return math.dist(q, center) <= radius * (1.0 + _WELZL_SLACK)
 
 
 def _welzl_mtf(pts: list[tuple], boundary: list[tuple], d: int):
@@ -150,41 +145,57 @@ def _welzl_mtf(pts: list[tuple], boundary: list[tuple], d: int):
     return center, radius
 
 
-def meb(points) -> MebResult:
-    """Minimum enclosing ball of a nonempty point set in R^d, d <= 12.
-
-    The farthest point (the first on a tie) joins the front of the
-    support until it is covered or already there; the second stop keeps
-    rounding from cycling, so there are at most n passes.
-    """
-    pts = _as_points(points)
-    d = pts.shape[1]
+def _pivot(rows: list[tuple], stop=covers):
+    """Gaertner's loop from the support [rows[0]]: the farthest point q
+    (the first on a tie) ends it when `stop(center, radius, q)` holds or
+    q is already in the support, which keeps rounding from cycling;
+    otherwise q joins the front of the support and Welzl's move-to-front
+    solves the support's ball.  Returns the center, the radius and the
+    support (latest pivot first)."""
+    d = len(rows[0])
     if d > MAX_MEB_DIM:
         raise InvalidInput(f"dimension {d} exceeds exact meb limit {MAX_MEB_DIM}")
-
-    rows = [tuple(r) for r in pts.tolist()]
     support = [rows[0]]
     center, radius = rows[0], 0.0
     while True:
         q = max(rows, key=lambda p: math.dist(p, center))
-        if covers(center, radius, q) or q in support:
-            break
+        if stop(center, radius, q) or q in support:
+            return center, radius, support
         center, radius = _welzl_mtf(support, [q], d)
         support.insert(0, q)
 
+
+def _meb_of_rows(rows: list[tuple]) -> MebResult:
+    center, radius, _ = _pivot(rows)
     # The d+1 lowest indices on the sphere: with more co-spherical points
     # the support then depends on the ball only, not on the last bits of
     # its center.
     tol = radius * TAU_GEOM + 1e-12
     on_boundary = (i for i, q in enumerate(rows) if abs(math.dist(q, center) - radius) <= tol)
-    return MebResult(Ball(center, radius), tuple(itertools.islice(on_boundary, d + 1)))
+    return MebResult(Ball(center, radius), tuple(itertools.islice(on_boundary, len(center) + 1)))
+
+
+def meb(points) -> MebResult:
+    """Minimum enclosing ball of a nonempty point set in R^d, d <= 12."""
+    return _meb_of_rows([tuple(r) for r in _as_points(points).tolist()])
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, without under- or overflow.
+
+    Each row is scaled by the power of two of its largest entry before
+    squaring and scaled back after; powers of two scale exactly, so the
+    norms are the plain ones wherever those neither under- nor overflow.
+    """
+    _, e = np.frexp(np.abs(rows).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(rows, -e[:, None]), axis=1), e)
 
 
 def _row_distances(pts: np.ndarray):
     """Distances from each point to the later ones, one row at a time,
     so memory stays O(n) where a full distance matrix would be O(n^2)."""
     for i in range(pts.shape[0] - 1):
-        yield np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
+        yield _norms(pts[i + 1 :] - pts[i])
 
 
 def diam(points) -> float:
@@ -213,7 +224,7 @@ def meb_of_cells(cells) -> MebResult:
     corners = set()
     for c in cells:
         corners.update(c.corner_tuples())
-    return meb(sorted(corners))
+    return _meb_of_rows(sorted(corners))
 
 
 def min_pairwise_distance(points) -> float:

@@ -123,9 +123,9 @@ class NormalizedCloud:
 def normalize(raw_points) -> NormalizedCloud:
     """Similarity-transform raw points so the minimum gap is 1/sqrt(d).
 
-    The root cube side 2^L is the smallest power of two holding the
-    scaled bounding box; L is bumped once if a point would land exactly
-    on the open upper face.
+    The root cube side 2^L, L >= 0, is the smallest power of two above
+    the scaled bounding box's extent, so no point lands on the open
+    upper face.
     """
     pts = _as_points(raw_points)
     n, d = pts.shape
@@ -141,13 +141,7 @@ def normalize(raw_points) -> NormalizedCloud:
         raise DegenerateInput("cloud contains coincident points")
     scale = (1.0 / math.sqrt(d)) / mdist
     shifted = (pts - offset) * scale
-    extent = float(shifted.max()) if shifted.size else 0.0
-
-    L = 0
-    while 2.0 ** L < extent:
-        L += 1
-    if (shifted >= 2.0 ** L).any():
-        L += 1
+    L = max(0, dyadic_height(float(shifted.max())) + 1)
     return NormalizedCloud(shifted, d, L, scale, offset)
 
 

@@ -168,7 +168,7 @@ def _expansion_sample_check(cells, factor: float, trials: int, seed: int) -> boo
             shift *= rng.uniform(0.0, 1.0) * base.radius * grow / norm
         else:
             shift[:] = 0.0
-        ball = Ball(tuple(base.center_array + shift), base.radius * (1.0 + grow))
+        ball = Ball(tuple(c + s for c, s in zip(base.center, shift)), base.radius * (1.0 + grow))
         big = expand(ball, factor)
         for corner in all_corners:
             if not big.contains(corner):

@@ -85,7 +85,7 @@ def build_wssd(qt: Quadtree, eps: float, kmax: int) -> WSSD:
             res = g.meb()
             r = res.radius
             h = grid_height_for(r, eps, qt.d)
-            double = Ball(tuple(res.center), 2.0 * r)
+            double = Ball(res.center, 2.0 * r)
             for q2 in qt.nonempty_cells_intersecting(double, h):
                 t = WST(g.cells + (q2,))
                 out.setdefault(t.key(), t)

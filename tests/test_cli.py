@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 import time
 
 import numpy as np
@@ -299,11 +300,90 @@ def test_approx_ell_max_at_float_limit(capsys, triangle_file):
     # above every scale.  Scales beyond the float range in input units
     # are written "inf", as in diagrams, so the report stays JSON.
     assert main(["approx", triangle_file, "--ell-max", "3180"]) == 0
-    text = capsys.readouterr().out
-    assert "Infinity" not in text
-    rep = json.loads(text)
+    rep = json.loads(capsys.readouterr().out)
     assert rep["ell_range"][1] == 3180
     assert rep["scales"][-1] == "inf"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cech"],
+        ["rips"],
+        ["completion"],
+        ["wssd", "--dump-tuples"],
+        ["approx", "--ell-max", "3180"],
+        ["coreset", "--kind", "meb"],
+        ["validate"],
+        ["compare"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_are_strict_json(capsys, tmp_path, triangle_file, argv):
+    # Every infinite value, here an approx scale past the float range and
+    # compare's c for one essential H0 class against two, reads "inf".
+    if argv[0] == "compare":
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        one.write_text(json.dumps([{"p": 0, "points": [[0.0, "inf"]]}]))
+        two.write_text(json.dumps([{"p": 0, "points": [[0.0, "inf"], [0.0, "inf"]]}]))
+        argv = argv + [str(one), str(two)]
+    else:
+        argv = argv[:1] + [triangle_file] + argv[1:]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    if argv[0] == "compare":
+        assert rep["c"] == rep["log_bottleneck"] == "inf"
+        assert not rep["matched_at_c"]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_triangle_far_from_unit_scale(capsys, tmp_path, scale):
+    # Squared coordinates under- and overflow at these scales; the
+    # diagrams must be the unit triangle's times the scale.
+    def write(name, factor):
+        path = tmp_path / name
+        path.write_text(f"0.0 0.0\n{factor!r} 0.0\n0.0 {factor!r}\n")
+        return str(path)
+
+    unit, scaled = write("unit.txt", 1.0), write("scaled.txt", scale)
+    for command in ("rips", "cech"):
+        _, want = run(capsys, [command, unit])
+        code, got = run(capsys, [command, scaled])
+        assert code == 0
+        assert len(got["diagram"]) == len(want["diagram"])
+        for block, ref in zip(got["diagram"], want["diagram"]):
+            assert block["p"] == ref["p"] and len(block["points"]) == len(ref["points"])
+            for (b, d), (rb, rd) in zip(block["points"], ref["points"]):
+                assert b == pytest.approx(rb * scale, rel=1e-12, abs=0.0)
+                assert d == rd == "inf" or d == pytest.approx(rd * scale, rel=1e-12, abs=0.0)
+    for command in ("approx", "wssd", "validate"):
+        code, rep = run(capsys, [command, scaled])
+        assert code == 0
+    assert rep["ok"]
+
+
+def test_meb_coreset_of_huge_triangle_returns(capsys, tmp_path):
+    # Squared distances overflowed at 1e200, every point read as
+    # uncovered, and the subset loop appended point 0 forever.
+    def timed_out(signum, frame):
+        raise TimeoutError("coreset did not return within 60 s")
+
+    path = tmp_path / "huge.txt"
+    path.write_text("0.0 0.0\n1e200 0.0\n0.0 1e200\n")
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        code, rep = run(capsys, ["coreset", str(path), "--kind", "meb"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert rep["subset"] == [0, 1, 2]
+    assert rep["factor"] == pytest.approx(1.0)
 
 
 def test_approx_far_negative_ell_min_names_the_exponent(capsys, triangle_file):

@@ -165,14 +165,19 @@ def test_greedy_skips_solves_for_interior_points(monkeypatch):
     # whole set (it also serves round 1) and one after the interior
     # removal make 1 + 1 + 4 + 3 = 9 calls: a boundary winner's candidate
     # solve is the next round's ball.  A solve per candidate makes 14.
+    # The whole set goes through `meb`, the rest through its pivot loop.
     calls = []
 
-    def spy(points):
-        calls.append(len(points))
-        return meb(points)
+    def spy(solve):
+        def counted(points, *args):
+            calls.append(len(points))
+            return solve(points, *args)
+
+        return counted
 
     pts = np.vstack([np.full((1, 4), 0.25), np.eye(4)])
-    monkeypatch.setattr(coreset_module, "meb", spy)
+    monkeypatch.setattr(coreset_module, "meb", spy(meb))
+    monkeypatch.setattr(coreset_module, "_pivot", spy(coreset_module._pivot))
     res = radius_coreset_greedy(pts, 0.45)
     assert res.subset == _ref_greedy(pts, 0.45)[0] == (3, 4)
     assert len(calls) == 9
@@ -236,6 +241,62 @@ def test_meb_coreset_validation():
     with pytest.raises(InvalidInput):
         meb_coreset(TRIANGLE, 0.0)
     assert meb_coreset([[1.0, 1.0]], 0.5).subset == (0,)
+
+
+def _ref_meb_coreset(pts, eps):
+    """The farthest-point loop `meb_coreset` ran on its own: a full meb
+    of the subset every round, the farthest point outside it next."""
+    n = pts.shape[0]
+    if n == 1:
+        return (0,), 1.0
+    p1 = int(np.argmax(np.linalg.norm(pts - pts[0], axis=1)))
+    current = [0, p1] if p1 != 0 else [0]
+    while True:
+        res = meb(pts[current])
+        dists = np.linalg.norm(pts - res.center, axis=1)
+        cover = (1.0 + eps) * res.radius
+        if (dists <= cover * (1.0 + 1e-12)).all():
+            full_rad = meb(pts).radius
+            return tuple(sorted(current)), full_rad / res.radius if res.radius > 0 else 1.0
+        far = int(np.argmax(np.where(np.isin(np.arange(n), current), -1.0, dists)))
+        current.append(far)
+
+
+def test_meb_coreset_matches_farthest_point_oracle():
+    # Gaussian, 3-level lattice (duplicates and many exact ties) and
+    # uniform clouds.  The two loops measure distances differently
+    # (`math.dist` against `np.linalg.norm`), so on a lattice an exact
+    # tie may go either way; both subsets must then be meb-coresets.
+    rng = np.random.default_rng(96)
+    lattice_ties = 0
+    for trial in range(300):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+        eps = float(rng.uniform(0.05, 1.0))
+        kind = trial % 3
+        if kind == 0:
+            pts = rng.standard_normal((n, d))
+        elif kind == 1:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+        else:
+            pts = rng.uniform(size=(n, d))
+        res = meb_coreset(pts, eps)
+        subset, factor = _ref_meb_coreset(pts, eps)
+        if kind == 1 and res.subset != subset:
+            lattice_ties += 1
+            assert is_meb_coreset(pts, res.subset, eps)
+            assert is_meb_coreset(pts, subset, eps)
+            continue
+        assert res.subset == subset
+        assert res.achieved_factor == factor
+    assert lattice_ties <= 3
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_is_meb_coreset_far_from_unit_scale(scale):
+    # Squared distances under- and overflow at these scales.
+    right = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert is_meb_coreset(right, (1, 2), 0.1)  # the hypotenuse's ball
+    assert not is_meb_coreset(right, (0, 1), 0.1)
 
 
 # ---------------------------------------------------------------------------

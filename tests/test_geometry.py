@@ -13,6 +13,7 @@ from cechkit.errors import InvalidInput
 from cechkit.geometry import (
     TAU_GEOM,
     Ball,
+    _row_distances,
     circumball,
     diam,
     expand,
@@ -431,6 +432,32 @@ def test_min_pairwise_distance():
     assert min_pairwise_distance([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]]) == pytest.approx(1.0)
     with pytest.raises(InvalidInput):
         min_pairwise_distance([[0.0, 0.0]])
+
+
+RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_distances_and_meb_scale_far_from_one(scale):
+    # Squared coordinates under- and overflow at these scales.
+    pts = scale * RIGHT_TRIANGLE
+    assert min_pairwise_distance(pts) == pytest.approx(scale, rel=1e-15)
+    assert diam(pts) == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+    res = meb(pts)
+    assert res.radius == pytest.approx(math.sqrt(0.5) * scale, rel=1e-15)
+    assert np.allclose(res.center, [0.5 * scale, 0.5 * scale], rtol=1e-15, atol=0.0)
+    assert res.support == (0, 1, 2)
+
+
+def test_row_distances_are_the_plain_norms_at_ordinary_scales():
+    # Power-of-two scaling is exact, so nothing moves where the plain
+    # norm neither under- nor overflows.
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        n, d = int(rng.integers(2, 20)), int(rng.integers(1, 8))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-100, 100)
+        for i, row in enumerate(_row_distances(pts)):
+            assert row.tolist() == np.linalg.norm(pts[i + 1 :] - pts[i], axis=1).tolist()
 
 
 def _corners_loop(cell):

@@ -121,6 +121,34 @@ def test_dyadic_height_brackets_every_float():
             dyadic_height(bad)
 
 
+def _ref_root_height(shifted):
+    # the loop `normalize` ran before it read the root height off
+    # `dyadic_height`
+    extent = float(shifted.max())
+    L = 0
+    while 2.0**L < extent:
+        L += 1
+    if (shifted >= 2.0**L).any():
+        L += 1
+    return L
+
+
+def test_normalize_root_height_is_one_above_the_extent_height():
+    for e in range(-10, 61):
+        for x in (math.nextafter(2.0**e, 0.0), 2.0**e, math.nextafter(2.0**e, math.inf)):
+            assert max(0, dyadic_height(x) + 1) == _ref_root_height(np.array([0.0, x])), x
+            if x >= 2.0:
+                # gap 1 in R^1 keeps the scale at 1, so the extent is x
+                cloud = normalize([[0.0], [1.0], [x]])
+                assert float(cloud.points.max()) == x
+                assert cloud.L == _ref_root_height(cloud.points), x
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        cloud = normalize(random_cloud(rng, n, d, box=10.0 ** rng.uniform(-3, 3)))
+        assert cloud.L == _ref_root_height(cloud.points)
+
+
 def test_qcell_examples():
     q = Cell(0, (5, 3))
     assert qcell(q, 2) == Cell(2, (1, 0))
@@ -247,7 +275,7 @@ def ref_contains_point(cell, x):
 
 
 def ref_intersects_ball(cell, ball, tol=1e-12):
-    return ref_distance_to_point(cell, ball.center_array) <= ball.radius + tol
+    return ref_distance_to_point(cell, ball.center) <= ball.radius + tol
 
 
 def _probe_point(rng, cell):
