@@ -80,31 +80,47 @@ class ApproxComplex:
     alpha: float
     params: ScaleParams
     complex: SComplex  # vertex labels are Cell objects
+    # simplex -> the largest meb radius over the cell unions of its faces
+    # of two or more cells (0 for a vertex); None if not recorded
+    values: dict | None = None
 
     @property
     def h(self) -> int:
         return self.params.h_alpha
 
+    def cut(self, params: ScaleParams) -> "ApproxComplex":
+        """The complex at a scale of the same height and no larger theta_k:
+        the simplices valued <= its theta_k."""
+        if params.h_alpha != self.h or params.theta_k > self.params.theta_k:
+            raise InvalidInput("a cut needs the same height and no larger theta_k")
+        values = {s: v for s, v in self.values.items() if v <= params.theta_k}
+        return ApproxComplex(params.alpha, params, SComplex(set(values)), values)
 
-def build_A(
-    qt: Quadtree, wssd: WSSD, alpha: float, eps: float, *, rad_cache: dict | None = None
-) -> ApproxComplex:
+
+def _grid_params(qt: Quadtree, alpha: float, eps: float) -> ScaleParams:
+    """scale_params at alpha, on a grid whose cell indices stay finite."""
+    params = scale_params(alpha, eps, qt.d)
+    if params.h_alpha < qt.L - 1024:  # cell indices below 2^(L-h) must stay finite floats
+        raise InvalidInput(
+            f"grid height {params.h_alpha} at l={params.k_alpha} is too fine for the cloud"
+        )
+    return params
+
+
+def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex:
     """D_alpha: the nonempty height-h_alpha cells, and every tuple of up to
     wssd.kmax + 1 of them whose union has meb radius <= theta_{k_alpha}.
 
     Sorted tuples grow one cell at a time and are tried only when all
-    their facets are in, so the complex is closed by construction.  Only
-    kmax is read from the WSSD, which must be built at eps/12.  One
-    `rad_cache` (cell tuple -> meb radius of its union) serves all scales.
+    their facets are in, so the complex is closed by construction.  Each
+    simplex is valued at the max of its union's radius and its facet
+    values, so it lies in D at every theta_k >= its value.  Only kmax is
+    read from the WSSD, which must be built at eps/12.
     """
     if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
         raise InvalidInput("WSSD must be built with parameter eps/12")
-    params = scale_params(alpha, eps, qt.d)
+    params = _grid_params(qt, alpha, eps)
     h, theta_k = params.h_alpha, params.theta_k
-    if h < qt.L - 1024:  # cell indices below 2^(L-h) must stay finite floats
-        raise InvalidInput(f"grid height {h} at l={params.k_alpha} is too fine for the cloud")
-    if rad_cache is None:
-        rad_cache = {}
 
     # The cells of a simplex are within 2 theta_k <= 2^top of each other,
     # so their ancestors at height `top` are equal or adjacent.
@@ -115,22 +131,23 @@ def build_A(
         for c in group:
             later[c] = sorted(x for x in near if x > c)
 
-    layer = [(c,) for c in later]
-    simplices = set(layer)
+    values = {(c,): 0.0 for c in later}
+    layer = list(values)
     for _ in range(wssd.kmax):
         grown = []
         for s in layer:
             for c in later[s[-1]]:
                 t = s + (c,)
-                if not all(f in simplices for f in itertools.combinations(t, len(s))):
+                try:
+                    facet_value = max(values[f] for f in itertools.combinations(t, len(s)))
+                except KeyError:  # a facet is not in
                     continue
-                if t not in rad_cache:
-                    rad_cache[t] = meb_of_cells(t).radius
-                if rad_cache[t] <= theta_k:
+                value = max(meb_of_cells(t).radius, facet_value)
+                if value <= theta_k:
+                    values[t] = value
                     grown.append(t)
-        simplices.update(grown)
         layer = grown
-    return ApproxComplex(alpha, params, SComplex(simplices))
+    return ApproxComplex(alpha, params, SComplex(set(values)), values)
 
 
 def map_g(a1: ApproxComplex, a2: ApproxComplex) -> VertexMap:
@@ -184,9 +201,11 @@ def tower_scale_range(qt: Quadtree, eps: float) -> tuple[int, int]:
 def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]) -> Tower:
     """Tower of approximation complexes at scales theta_l for l in ell_range.
 
-    Classes alive at the leftmost complex are treated as born at scale 0
-    when that complex is vertices-only, since the module is then constant
-    on the whole interval (0, theta_{ell_min}].
+    The heights h_alpha never decrease with l, so the scales of one height
+    form a run; D_alpha is enumerated once per run, at its largest scale,
+    and cut at the others.  Classes alive at the leftmost complex are
+    treated as born at scale 0 when that complex is vertices-only, since
+    the module is then constant on the whole interval (0, theta_{ell_min}].
     """
     ell_min, ell_max = ell_range
     if ell_max < ell_min:
@@ -194,8 +213,13 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
     # theta is monotone in l, so an unrepresentable scale shows at an end.
     theta_value(eps, ell_min), theta_value(eps, ell_max)
     scales = [theta_value(eps, ell) for ell in range(ell_min, ell_max + 1)]
-    rad_cache: dict = {}  # cell-tuple radii, shared by every scale
-    complexes = [build_A(qt, wssd, s, eps, rad_cache=rad_cache) for s in scales]
+    # In ascending order, so a grid too fine is named at its smallest l.
+    params = [_grid_params(qt, s, eps) for s in scales]
+    complexes = []
+    for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
+        *below, last = run
+        top = build_A(qt, wssd, last.alpha, eps)
+        complexes += [top.cut(p) for p in below] + [top]
     maps = [
         map_g(complexes[i], complexes[i + 1]) for i in range(len(complexes) - 1)
     ]

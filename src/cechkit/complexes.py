@@ -133,7 +133,7 @@ def _all_support_ball(vertices: list[tuple[float, ...]]):
     """
     center, radius = circumball(vertices)
     nearest = min(math.dist(center, v) for v in vertices)
-    if radius - nearest <= radius * TAU_GEOM + 1e-12:
+    if radius - nearest <= radius * TAU_GEOM:
         return center, radius
     return _pivot(vertices)[:2]
 

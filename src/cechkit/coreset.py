@@ -98,7 +98,7 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
 
     current = list(range(n))
     while len(current) > dlt:
-        inside = r * (1.0 - TAU_GEOM) - 1e-12
+        inside = r * (1.0 - TAU_GEOM)
         best_rad, best_drop, best_ball = -1.0, None, None
         for drop in current:
             interior = math.dist(rows[drop], center) < inside

@@ -12,8 +12,10 @@ input.  The one numeric kernel, `circumball`, solves the Gram system
 the minimum-norm center p0 + lambda V: in closed form up to three
 points, else by a numpy solve with a least-squares fallback.  The ball
 of a union of cells is the ball of their corners (`meb_of_cells`).
-Distances scale each difference by a power of two before squaring, so
-they neither under- nor overflow.
+Distances and the numpy Gram system scale each difference by a power of
+two before squaring, and the closed form takes only Gram entries within
+2^(+-400), so none of them under- or overflows; the on-sphere tests take
+a slack relative to the radius only.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ TAU_GEOM = 1e-9
 _WELZL_SLACK = 1e-10
 
 MAX_MEB_DIM = 12
+
+# The closed-form three-point circumball takes Gram entries in this range,
+# where its products neither under- nor overflow; others go to the scaled
+# numpy solve.
+_GRAM_MIN, _GRAM_MAX = 2.0**-400, 2.0**400
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,16 @@ def circumball(boundary) -> tuple[tuple[float, ...], float]:
     2 V x = diag(V V^T), so the center lies in the affine hull of the
     boundary.  Up to three points the system is solved on Python floats:
     lambda = 1/2 for two, Cramer's rule on the 2x2 Gram matrix for
-    three.  A singular 2x2 matrix (det == 0), a non-finite lambda, or
-    four or more points go to `np.linalg.solve`, and from there to the
-    least-squares solve of the offset system, which gives the
-    minimum-norm center, when that Gram matrix is singular or lambda is
-    not finite.  The radius is the largest distance from the center to
-    a boundary point (half the distance for two points).
+    three.  A singular 2x2 matrix (det == 0), a diagonal Gram entry
+    outside 2^(+-400), a non-finite lambda, or four or more points go to
+    `np.linalg.solve`, and from there to the least-squares solve of the
+    offset system, which gives the minimum-norm center, when that Gram
+    matrix is singular or lambda is not finite.  The numpy Gram matrix is
+    formed from the offsets scaled by the power of two of their largest
+    entry, so it neither under- nor overflows; lambda does not depend on
+    that scale, and the center is formed from the unscaled offsets.  The
+    radius is the largest distance from the center to a boundary point
+    (half the distance for two points).
     """
     p0 = boundary[0]
     if len(boundary) == 1:
@@ -107,7 +118,7 @@ def circumball(boundary) -> tuple[tuple[float, ...], float]:
         v2 = [b - a for a, b in zip(p0, boundary[2])]
         g11, g12, g22 = sum(map(mul, v1, v1)), sum(map(mul, v1, v2)), sum(map(mul, v2, v2))
         det = g11 * g22 - g12 * g12
-        if det != 0.0:
+        if det != 0.0 and _GRAM_MIN < g11 < _GRAM_MAX and _GRAM_MIN < g22 < _GRAM_MAX:
             lam1 = g22 * (g11 - g12) / (2.0 * det)
             lam2 = g11 * (g22 - g12) / (2.0 * det)
             if math.isfinite(lam1) and math.isfinite(lam2):
@@ -115,7 +126,9 @@ def circumball(boundary) -> tuple[tuple[float, ...], float]:
                 return center, max(math.dist(center, q) for q in boundary)
     pts = np.asarray(boundary, dtype=float)
     V = pts[1:] - pts[0]
-    G = V @ V.T
+    e = -math.frexp(np.abs(V).max())[1]
+    W = np.ldexp(V, e)
+    G = W @ W.T
     try:
         lam = np.linalg.solve(G, 0.5 * np.diag(G))
     except np.linalg.LinAlgError:
@@ -123,10 +136,11 @@ def circumball(boundary) -> tuple[tuple[float, ...], float]:
     if lam is not None and np.isfinite(lam).all():
         center = pts[0] + lam @ V
     else:
-        x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
-        center = pts[0] + x
-    D = pts - center
-    return tuple(center.tolist()), math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
+        x, *_ = np.linalg.lstsq(2.0 * W, np.diag(G), rcond=None)
+        center = pts[0] + np.ldexp(x, -e)
+    D = np.ldexp(pts - center, e)
+    radius = math.ldexp(math.sqrt(float(np.einsum("ij,ij->i", D, D).max())), -e)
+    return tuple(center.tolist()), radius
 
 
 def covers(center, radius: float, q) -> bool:
@@ -170,7 +184,7 @@ def _meb_of_rows(rows: list[tuple]) -> MebResult:
     # The d+1 lowest indices on the sphere: with more co-spherical points
     # the support then depends on the ball only, not on the last bits of
     # its center.
-    tol = radius * TAU_GEOM + 1e-12
+    tol = radius * TAU_GEOM
     on_boundary = (i for i, q in enumerate(rows) if abs(math.dist(q, center) - radius) <= tol)
     return MebResult(Ball(center, radius), tuple(itertools.islice(on_boundary, len(center) + 1)))
 

@@ -135,10 +135,15 @@ class PersistenceDiagram:
 
     @staticmethod
     def from_json_obj(obj) -> "PersistenceDiagram":
+        """The inverse of `to_json_obj`; a NaN coordinate or a non-finite
+        birth raises ValueError."""
         dgm = PersistenceDiagram()
         for block in obj:
             for b, d in block["points"]:
-                dgm.add(int(block["p"]), float(b), INF if d == "inf" else float(d))
+                birth, death = float(b), INF if d == "inf" else float(d)
+                if not math.isfinite(birth) or math.isnan(death):
+                    raise ValueError(f"point {[b, d]!r} has a NaN or a non-finite birth")
+                dgm.add(int(block["p"]), birth, death)
         return dgm
 
 

@@ -248,8 +248,9 @@ def _two_clusters(rng, n, sigma=0.01):
 @pytest.mark.parametrize("kind", ["uniform", "clusters"])
 @pytest.mark.parametrize("eps", [0.25, 0.5])
 def test_build_tower_shared_cache_matches_independent_build_A(kind, eps):
-    # build_tower shares one projected-tuple radius cache across its
-    # scales; each complex must equal a fresh build_A at the same theta.
+    # build_tower enumerates one complex per grid height and cuts it at
+    # the other scales of that height; each complex must equal a fresh
+    # build_A at the same theta.
     rng = np.random.default_rng([80, int(eps * 100), kind == "clusters"])
     for n in (8, 9):
         pts = random_cloud(rng, n, 2) if kind == "uniform" else _two_clusters(rng, n)
@@ -257,6 +258,45 @@ def test_build_tower_shared_cache_matches_independent_build_A(kind, eps):
         tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
         for theta, K in zip(tower.scales, tower.complexes):
             assert K.simplices == build_A(qt, dec, theta, eps).complex.simplices
+
+
+def test_build_tower_enumerates_once_per_height_and_solves_each_tuple_once(monkeypatch):
+    import cechkit.approx as approx_module
+
+    heights, solved = [], []
+    build, solve = approx_module.build_A, approx_module.meb_of_cells
+
+    def build_spy(qt, wssd, alpha, eps):
+        heights.append(scale_params(alpha, eps, qt.d).h_alpha)
+        return build(qt, wssd, alpha, eps)
+
+    def solve_spy(cells):
+        solved.append(cells)
+        return solve(cells)
+
+    monkeypatch.setattr(approx_module, "build_A", build_spy)
+    monkeypatch.setattr(approx_module, "meb_of_cells", solve_spy)
+    rng = np.random.default_rng(83)
+    for pts, eps in ((random_cloud(rng, 9, 2), 0.25), (_two_clusters(rng, 8), 0.5)):
+        heights.clear()
+        qt, dec = make(pts, eps, kmax=2)
+        tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+        distinct = sorted({scale_params(s, eps, qt.d).h_alpha for s in tower.scales})
+        assert len(tower.scales) > len(distinct)
+        assert heights == distinct
+    assert len(solved) == len(set(solved))
+
+
+def test_cut_needs_the_same_height_and_no_larger_theta():
+    rng = np.random.default_rng(84)
+    qt, dec = make(random_cloud(rng, 7, 2), 0.5)
+    a = build_A(qt, dec, 1.1, 0.5)
+    below = scale_params(1.1 / 1.25, 0.5, qt.d)
+    assert below.h_alpha == a.h
+    assert a.cut(below).complex.simplices == build_A(qt, dec, below.alpha, 0.5).complex.simplices
+    for alpha in (1.1 * 1.25, 1.1 / 4.0):
+        with pytest.raises(InvalidInput, match="cut"):
+            a.cut(scale_params(alpha, 0.5, qt.d))
 
 
 # ---------------------------------------------------------------------------

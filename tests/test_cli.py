@@ -340,30 +340,88 @@ def test_reports_are_strict_json(capsys, tmp_path, triangle_file, argv):
         assert not rep["matched_at_c"]
 
 
+def assert_scaled_diagram(got, want, scale):
+    """The diagram `got` is `want` with every coordinate times `scale`."""
+    assert len(got) == len(want)
+    for block, ref in zip(got, want):
+        assert block["p"] == ref["p"] and len(block["points"]) == len(ref["points"])
+        for (b, d), (rb, rd) in zip(block["points"], ref["points"]):
+            assert b == pytest.approx(rb * scale, rel=1e-12, abs=0.0)
+            assert d == rd == "inf" or d == pytest.approx(rd * scale, rel=1e-12, abs=0.0)
+
+
+def write_scaled_triangle(tmp_path, name, scale, equilateral=False):
+    """The right triangle with legs `scale`, or the equilateral one with
+    side 2 `scale`, as a point file."""
+    rows = TRIANGLE if equilateral else [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / name
+    path.write_text("".join(f"{float(x) * scale!r} {float(y) * scale!r}\n" for x, y in rows))
+    return str(path)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_triangle_far_from_unit_scale(capsys, tmp_path, scale):
     # Squared coordinates under- and overflow at these scales; the
     # diagrams must be the unit triangle's times the scale.
-    def write(name, factor):
-        path = tmp_path / name
-        path.write_text(f"0.0 0.0\n{factor!r} 0.0\n0.0 {factor!r}\n")
-        return str(path)
-
-    unit, scaled = write("unit.txt", 1.0), write("scaled.txt", scale)
+    unit = write_scaled_triangle(tmp_path, "unit.txt", 1.0)
+    scaled = write_scaled_triangle(tmp_path, "scaled.txt", scale)
     for command in ("rips", "cech"):
         _, want = run(capsys, [command, unit])
         code, got = run(capsys, [command, scaled])
         assert code == 0
-        assert len(got["diagram"]) == len(want["diagram"])
-        for block, ref in zip(got["diagram"], want["diagram"]):
-            assert block["p"] == ref["p"] and len(block["points"]) == len(ref["points"])
-            for (b, d), (rb, rd) in zip(block["points"], ref["points"]):
-                assert b == pytest.approx(rb * scale, rel=1e-12, abs=0.0)
-                assert d == rd == "inf" or d == pytest.approx(rd * scale, rel=1e-12, abs=0.0)
+        assert_scaled_diagram(got["diagram"], want["diagram"], scale)
     for command in ("approx", "wssd", "validate"):
         code, rep = run(capsys, [command, scaled])
         assert code == 0
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_equilateral_triangle_far_from_unit_scale(capsys, tmp_path, scale):
+    # Its circumball's Gram system of squared offsets under- and
+    # overflowed: the H1 class was lost and the radius-coreset factor read
+    # NaN or 0.  Diagrams must be the unit triangle's times the scale.
+    unit = write_scaled_triangle(tmp_path, "unit.txt", 1.0, equilateral=True)
+    scaled = write_scaled_triangle(tmp_path, "scaled.txt", scale, equilateral=True)
+    for command in ("cech", "completion"):
+        _, want = run(capsys, [command, unit])
+        code, got = run(capsys, [command, scaled])
+        assert code == 0
+        assert_scaled_diagram(got["diagram"], want["diagram"], scale)
+    _, want = run(capsys, ["coreset", unit])
+    code, got = run(capsys, ["coreset", scaled])
+    assert code == 0 and got["subset"] == want["subset"]
+    assert got["factor"] == pytest.approx(want["factor"], rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cech"],
+        ["rips"],
+        ["completion"],
+        ["wssd", "--dump-tuples"],
+        ["approx"],
+        ["coreset"],
+        ["coreset", "--kind", "meb"],
+        ["validate"],
+        ["compare"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_reports_on_far_scaled_triangles_are_strict_json(capsys, tmp_path, argv, scale):
+    # The equilateral triangle x1e+-200: no report may hold a NaN, which
+    # is not JSON (`coreset` printed "factor": NaN at 1e200).
+    path = write_scaled_triangle(tmp_path, "triangle.txt", scale, equilateral=True)
+    if argv[0] == "compare":
+        report = tmp_path / "cech.json"
+        assert main(["cech", path, "--out", str(report)]) == 0
+        argv = argv + [str(report), str(report)]
+    else:
+        argv = argv[:1] + [path] + argv[1:]
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
 
 def test_meb_coreset_of_huge_triangle_returns(capsys, tmp_path):
@@ -426,6 +484,9 @@ def test_negative_pmax_exits_3(capsys, triangle_file, command):
         ("text.json", "not json\n"),
         ("coord.json", '[{"p": 0, "points": [["x", 1]]}]'),
         ("report.json", '{"command": "cech", "n": 3}'),
+        ("nan.json", '[{"p": 1, "points": [[NaN, 2.0]]}]'),
+        ("nan_string.json", '[{"p": 1, "points": [[1.0, "nan"]]}]'),
+        ("inf_birth.json", '[{"p": 1, "points": [["inf", "inf"]]}]'),
     ],
 )
 def test_compare_unreadable_diagram_exits_2(capsys, tmp_path, name, text):

@@ -449,6 +449,27 @@ def test_distances_and_meb_scale_far_from_one(scale):
     assert res.support == (0, 1, 2)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 3e-81, 1e77, 1e200])
+def test_circumball_and_meb_of_triangles_far_from_unit_scale(scale):
+    # The Gram entries of squared offsets under- and overflow at 1e+-200;
+    # at 1e77 and 3e-81 only the closed form's determinant does (inf for
+    # the right triangle, subnormal for the equilateral one).  The ball
+    # must be the unit triangle's times the scale.
+    for tri in (TRIANGLE, RIGHT_TRIANGLE):
+        unit, res = meb(tri), meb(scale * tri)
+        for center, radius in (circumball((scale * tri).tolist()), (res.center, res.radius)):
+            assert radius == pytest.approx(unit.radius * scale, rel=1e-12)
+            assert np.allclose(center, np.array(unit.center) * scale, rtol=0.0, atol=1e-12 * scale)
+        assert res.support == unit.support == (0, 1, 2)
+
+
+def test_meb_support_far_below_unit_scale():
+    # Point 0 is interior; an absolute on-sphere slack took it in at 1e-100.
+    pts = np.array([[0.1, 0.1], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for scale in (1.0, 1e-100, 1e-200):
+        assert meb(scale * pts).support == (1, 2, 3)
+
+
 def test_row_distances_are_the_plain_norms_at_ordinary_scales():
     # Power-of-two scaling is exact, so nothing moves where the plain
     # norm neither under- nor overflows.
