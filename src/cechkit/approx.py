@@ -11,6 +11,11 @@ and geometry alone interleaves it with the Cech tower:
 - phi: meb(cells) <= r + sqrt(d) 2^h < theta_k ((1+eps/2)/(1+eps) + eps/3),
   which is <= theta_k for eps <= 1/2;
 - g: theta_k + eps theta_{k+1}/3 <= theta_{k+1} for every eps < 1.
+
+A tuple of cells is in D_alpha when its union's meb radius is <= theta_k.
+Each simplex carries a certified bracket of that radius, exact for a
+pair of cells and narrower than a scale step for more, so the union is
+solved only at the one scale its bracket may hold, if any.
 """
 
 from __future__ import annotations
@@ -23,10 +28,13 @@ import numpy as np
 
 from .complexes import cech_filtration
 from .errors import InvalidInput
-from .geometry import meb, meb_of_cells, min_pairwise_distance
+from .geometry import _pivot, meb, meb_of_cells, min_pairwise_distance
 from .homology import SComplex, Tower, VertexMap
 from .quadtree import Cell, Quadtree, cell_index_of, dyadic_height, qcell
 from .wssd import WSSD
+
+# Relative margins of a cell tuple's radius bracket (see `build_A`).
+_LO, _HI = 1.0 - 1e-9, 1.0 + 1e-9
 
 
 def _theta(eps: float, ell: int) -> float:
@@ -80,8 +88,9 @@ class ApproxComplex:
     alpha: float
     params: ScaleParams
     complex: SComplex  # vertex labels are Cell objects
-    # simplex -> the largest meb radius over the cell unions of its faces
-    # of two or more cells (0 for a vertex); None if not recorded
+    # simplex -> (lo, hi), a bracket of its value: the largest meb radius
+    # over the cell unions of its faces of two or more cells ((0, 0) for a
+    # vertex); None if not recorded
     values: dict | None = None
 
     @property
@@ -90,10 +99,14 @@ class ApproxComplex:
 
     def cut(self, params: ScaleParams) -> "ApproxComplex":
         """The complex at a scale of the same height and no larger theta_k:
-        the simplices valued <= its theta_k."""
+        each simplex settled at its theta_k (see `build_A`), faces first."""
         if params.h_alpha != self.h or params.theta_k > self.params.theta_k:
             raise InvalidInput("a cut needs the same height and no larger theta_k")
-        values = {s: v for s, v in self.values.items() if v <= params.theta_k}
+        values: dict = {}
+        for s, bracket in self.values.items():  # in order of size
+            bracket = _settle(s, bracket, params.theta_k, values)
+            if bracket is not None:
+                values[s] = bracket
         return ApproxComplex(params.alpha, params, SComplex(set(values)), values)
 
 
@@ -107,15 +120,67 @@ def _grid_params(qt: Quadtree, alpha: float, eps: float) -> ScaleParams:
     return params
 
 
+def _pair_radius(a: Cell, b: Cell) -> float:
+    """meb radius of two cells of one height: their union is centrally
+    symmetric, so its ball is the diametral ball of two opposite corners."""
+    return 0.5 * a.side * math.sqrt(sum((abs(i - j) + 1) ** 2 for i, j in zip(a.index, b.index)))
+
+
+def _bracket(t: tuple, facets: list) -> tuple[float, float]:
+    """[lo, hi] holding the value of a tuple of cells of one height, given
+    its facets' brackets (see `build_A`)."""
+    if len(t) == 2:
+        radius = _pair_radius(*t)
+        return radius, radius
+    side = t[0].side
+    r_c = _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
+    lo = max(r_c + 0.5 * side, *(f[0] for f in facets)) * _LO
+    hi = max(r_c + 0.5 * side * math.sqrt(t[0].d), *(f[1] for f in facets)) * _HI
+    return lo, hi
+
+
+def _settle(t: tuple, bracket: tuple, theta: float, values: dict) -> tuple[float, float] | None:
+    """t's bracket if t is in D at theta, else None; `values` holds the
+    simplices below t already settled at theta.  A bracket decides alone
+    unless lo <= theta < hi; then t's union is solved, and the bracket
+    becomes its radius raised to its facets' brackets."""
+    lo, hi = bracket
+    if theta < lo:
+        return None
+    if theta >= hi:
+        return bracket
+    facets = [values.get(f) for f in itertools.combinations(t, len(t) - 1)]
+    if None in facets:
+        return None
+    radius = meb_of_cells(t).radius
+    if radius > theta:
+        return None
+    return max(radius, *(f[0] for f in facets)), max(radius, *(f[1] for f in facets))
+
+
 def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex:
     """D_alpha: the nonempty height-h_alpha cells, and every tuple of up to
     wssd.kmax + 1 of them whose union has meb radius <= theta_{k_alpha}.
 
     Sorted tuples grow one cell at a time and are tried only when all
-    their facets are in, so the complex is closed by construction.  Each
-    simplex is valued at the max of its union's radius and its facet
-    values, so it lies in D at every theta_k >= its value.  Only kmax is
-    read from the WSSD, which must be built at eps/12.
+    their facets are in, so the complex is closed by construction.  A
+    simplex's value is the max of its union's radius and its facet
+    values, so it lies in D at every theta_k >= its value.  Each simplex
+    keeps a bracket [lo, hi] of its value instead (`_bracket`):
+    - two cells of side s = 2^h: the radius in closed form, lo = hi;
+    - more cells, whose centres have meb radius r_c: the union holds each
+      cell's inscribed ball and lies within their circumscribed balls, so
+      its radius is in [r_c + s/2, r_c + s sqrt(d)/2].  Raised to the
+      facets' brackets and moved out by 1e-9 relative, more than the
+      pivot loop's 1e-10 slack, these ends hold the value that
+      `meb_of_cells` gives, so a theta outside [lo, hi) decides the
+      tuple as that value would.
+    A tuple's union is solved (`meb_of_cells`) only at a theta in [lo, hi)
+    (`_settle`).  A bracket is about s (sqrt(d) - 1)/2 < eps theta/6 wide
+    for every theta of height h, under the scale step eps theta/2, so it
+    holds at most one of them: `build_A` and the cuts of its complex
+    solve each tuple at most once.
+    Only kmax is read from the WSSD, which must be built at eps/12.
     """
     if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
         raise InvalidInput("WSSD must be built with parameter eps/12")
@@ -131,7 +196,7 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
         for c in group:
             later[c] = sorted(x for x in near if x > c)
 
-    values = {(c,): 0.0 for c in later}
+    values = {(c,): (0.0, 0.0) for c in later}
     layer = list(values)
     for _ in range(wssd.kmax):
         grown = []
@@ -139,12 +204,12 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
             for c in later[s[-1]]:
                 t = s + (c,)
                 try:
-                    facet_value = max(values[f] for f in itertools.combinations(t, len(s)))
+                    facets = [values[f] for f in itertools.combinations(t, len(s))]
                 except KeyError:  # a facet is not in
                     continue
-                value = max(meb_of_cells(t).radius, facet_value)
-                if value <= theta_k:
-                    values[t] = value
+                bracket = _settle(t, _bracket(t, facets), theta_k, values)
+                if bracket is not None:
+                    values[t] = bracket
                     grown.append(t)
         layer = grown
     return ApproxComplex(alpha, params, SComplex(set(values)), values)

@@ -127,9 +127,9 @@ def _all_support_ball(vertices: list[tuple[float, ...]]):
     """Meb of a simplex none of whose facet balls holds the opposite vertex.
 
     Then every vertex lies on the meb's boundary, so the meb is the
-    circumball.  A circumball with a vertex off its sphere (by the
-    support tolerance of `meb`) came from a degenerate solve; the pivot
-    loop of `meb` decides then.
+    circumball.  A circumball with a vertex off its sphere (by more than
+    radius * TAU_GEOM) came from a degenerate solve; the pivot loop of
+    `meb` decides then.
     """
     center, radius = circumball(vertices)
     nearest = min(math.dist(center, v) for v in vertices)

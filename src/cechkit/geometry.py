@@ -14,8 +14,9 @@ points, else by a numpy solve with a least-squares fallback.  The ball
 of a union of cells is the ball of their corners (`meb_of_cells`).
 Distances and the numpy Gram system scale each difference by a power of
 two before squaring, and the closed form takes only Gram entries within
-2^(+-400), so none of them under- or overflows; the on-sphere tests take
-a slack relative to the radius only.
+2^(+-400), so none of them under- or overflows; the on-sphere test of
+the support takes a slack relative to the radius plus a few ulps of the
+center's largest coordinate.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ def _meb_of_rows(rows: list[tuple]) -> MebResult:
     center, radius, _ = _pivot(rows)
     # The d+1 lowest indices on the sphere: with more co-spherical points
     # the support then depends on the ball only, not on the last bits of
-    # its center.
-    tol = radius * TAU_GEOM
+    # its center.  Far from the origin a distance's rounding is set by
+    # the center's coordinates, so the slack adds a few of their ulps.
+    tol = radius * TAU_GEOM + 4.0 * math.ulp(max(map(abs, center)))
     on_boundary = (i for i, q in enumerate(rows) if abs(math.dist(q, center) - radius) <= tol)
     return MebResult(Ball(center, radius), tuple(itertools.islice(on_boundary, len(center) + 1)))
 

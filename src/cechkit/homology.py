@@ -135,14 +135,16 @@ class PersistenceDiagram:
 
     @staticmethod
     def from_json_obj(obj) -> "PersistenceDiagram":
-        """The inverse of `to_json_obj`; a NaN coordinate or a non-finite
-        birth raises ValueError."""
+        """The inverse of `to_json_obj`; a NaN coordinate, a non-finite
+        birth or a death before its birth raises ValueError."""
         dgm = PersistenceDiagram()
         for block in obj:
             for b, d in block["points"]:
                 birth, death = float(b), INF if d == "inf" else float(d)
                 if not math.isfinite(birth) or math.isnan(death):
                     raise ValueError(f"point {[b, d]!r} has a NaN or a non-finite birth")
+                if death < birth:
+                    raise ValueError(f"point {[b, d]!r} dies before it is born")
                 dgm.add(int(block["p"]), birth, death)
         return dgm
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cechkit.approx as approx_module
 from cechkit.approx import (
     ApproxComplex,
     build_A,
@@ -21,9 +22,9 @@ from cechkit.approx import (
     tower_scale_range,
 )
 from cechkit.errors import InvalidInput
-from cechkit.geometry import meb_of_cells
+from cechkit.geometry import meb, meb_of_cells
 from cechkit.homology import INF, SComplex, Tower, check_contiguous, tower_diagram
-from cechkit.quadtree import build, normalize, qcell
+from cechkit.quadtree import Cell, build, normalize, qcell
 from cechkit.wssd import build_wssd
 
 from conftest import TRIANGLE, bench_module, random_cloud
@@ -285,6 +286,70 @@ def test_build_tower_enumerates_once_per_height_and_solves_each_tuple_once(monke
         assert len(tower.scales) > len(distinct)
         assert heights == distinct
     assert len(solved) == len(set(solved))
+
+
+@st.composite
+def equal_height_tuples(draw):
+    """A sorted tuple of 2 to d+1 distinct nearby cells of one height, d <= 4."""
+    d = draw(st.integers(1, 4))
+    h = draw(st.integers(-40, 10))
+    base = draw(st.tuples(*[st.integers(-(2**20), 2**20)] * d))
+    offsets = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=2, max_size=d + 1, unique=True)
+    )
+    return tuple(sorted(Cell(h, tuple(b + o for b, o in zip(base, off))) for off in offsets))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(equal_height_tuples())
+def test_cell_tuple_brackets_hold_the_union_radius(t):
+    # A pair's closed form is meb_of_cells's radius to the bit; a larger
+    # tuple's bracket, built from its faces' brackets, holds that radius
+    # and is no wider than s (sqrt(d) - 1)/2 plus its margins.
+    brackets = {(c,): (0.0, 0.0) for c in t}
+    for size in range(2, len(t) + 1):
+        for s in itertools.combinations(t, size):
+            facets = [brackets[f] for f in itertools.combinations(s, size - 1)]
+            brackets[s] = approx_module._bracket(s, facets)
+    radius = meb_of_cells(t).radius
+    lo, hi = brackets[t]
+    if len(t) == 2:
+        assert lo == hi == radius
+    else:
+        assert lo <= radius <= hi
+        assert hi - lo <= t[0].side * (math.sqrt(t[0].d) - 1.0) / 2.0 + 1e-8 * hi
+
+
+def test_build_tower_solves_only_tuples_whose_bracket_holds_a_scale(monkeypatch):
+    # Every union build_tower solves has three or more cells, and a scale
+    # of its height lies in [r_c + s/2, r_c + s sqrt(d)/2] (r_c the meb
+    # radius of the cell centres), the bracket before its facets raise it.
+    solved = []
+    solve = approx_module.meb_of_cells
+
+    def solve_spy(cells):
+        solved.append(cells)
+        return solve(cells)
+
+    monkeypatch.setattr(approx_module, "meb_of_cells", solve_spy)
+    rng = np.random.default_rng(85)
+    clouds = [(random_cloud(rng, 9, 2), 0.25) for _ in range(4)]
+    clouds += [(_two_clusters(rng, 9), 0.5), (random_cloud(rng, 8, 3), 0.5)]
+    total = 0
+    for pts, eps in clouds:
+        solved.clear()
+        qt, dec = make(pts, eps)
+        tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+        params = [scale_params(s, eps, qt.d) for s in tower.scales]
+        for t in solved:
+            assert len(t) >= 3
+            side = t[0].side
+            r_c = meb([(np.array(c.index) + 0.5) * side for c in t]).radius
+            lo = (r_c + side / 2.0) * (1.0 - 1e-6)
+            hi = (r_c + side * math.sqrt(qt.d) / 2.0) * (1.0 + 1e-6)
+            assert any(p.h_alpha == t[0].height and lo <= p.theta_k < hi for p in params), t
+        total += len(solved)
+    assert total > 0
 
 
 def test_cut_needs_the_same_height_and_no_larger_theta():

@@ -40,3 +40,33 @@ def test_tracer_installs_on_every_target_and_uninstalls():
     layers = tracer.per_op()[0]
     for layer in ("approx.build_tower", "homology.tower_diagram", "homology.persist_filtration"):
         assert layers[layer][0] >= 1, layer
+
+
+def test_traced_tower_ops_solve_few_cell_unions():
+    # Cell tuples are settled by their radius brackets; a union is solved
+    # only when a scale falls inside its bracket.  Count the meb_of_cells
+    # spans under build_tower (the WSSD's own solves are not under it).
+    W = bench_module("workloads")
+    T = bench_module("tracing")
+    wl = W.WORKLOADS["tower2d"]
+    tracer = T.Tracer()
+    tracer.install()
+    try:
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(0, index)
+            tracer.begin_op(index)
+            W.op_tower(**args)
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    layer_of, parent_of = {}, {}
+    for sid, layer, op, parent, start, end in tracer.spans:
+        layer_of[sid], parent_of[sid] = layer, parent
+    solves = dict.fromkeys(range(len(wl.slots)), 0)
+    for sid, layer, op, parent, start, end in tracer.spans:
+        if layer != "geometry.meb_of_cells":
+            continue
+        while parent >= 0 and layer_of[parent] != "approx.build_tower":
+            parent = parent_of[parent]
+        solves[op] += parent >= 0
+    assert max(solves.values()) <= 10, solves

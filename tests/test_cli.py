@@ -487,6 +487,8 @@ def test_negative_pmax_exits_3(capsys, triangle_file, command):
         ("nan.json", '[{"p": 1, "points": [[NaN, 2.0]]}]'),
         ("nan_string.json", '[{"p": 1, "points": [[1.0, "nan"]]}]'),
         ("inf_birth.json", '[{"p": 1, "points": [["inf", "inf"]]}]'),
+        ("inverted.json", '[{"p": 1, "points": [[2.0, 1.0]]}]'),
+        ("neg_inf_death.json", '[{"p": 1, "points": [[1.0, "-Infinity"]]}]'),
     ],
 )
 def test_compare_unreadable_diagram_exits_2(capsys, tmp_path, name, text):

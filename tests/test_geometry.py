@@ -287,7 +287,9 @@ def test_meb_returns_on_far_offset_tiny_spread_clouds():
     # A 1e-6 spread at a 1e6 offset keeps only a few bits of the spread,
     # so the farthest point can stay just outside the ball of a support
     # that already holds it; the loop must stop there instead of
-    # spinning (in R^1 it did on about one cloud in two).
+    # spinning (in R^1 it did on about one cloud in two).  The support
+    # must still name at least one and at most d+1 points on the sphere,
+    # whose distances there round at the scale of the 1e6 offset.
     def timed_out(signum, frame):
         raise TimeoutError("meb did not return within 60 s")
 
@@ -301,6 +303,7 @@ def test_meb_returns_on_far_offset_tiny_spread_clouds():
             res = meb(pts)
             dists = np.linalg.norm(pts - res.center, axis=1)
             assert (dists <= res.radius * (1.0 + 1e-3)).all()
+            assert 1 <= len(res.support) <= d + 1
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
