@@ -70,8 +70,8 @@ def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
     h_alpha with 2^h <= eps*theta_k/(3*sqrt(d)) < 2^(h+1)."""
     if not 0.0 < alpha < math.inf:
         raise InvalidInput(f"alpha must be positive and finite, got {alpha}")
-    if not (0.0 < eps < 1.0):
-        raise InvalidInput(f"eps must be in (0,1), got {eps}")
+    if not (0.0 < eps < 1.0 and 1.0 + eps / 2.0 > 1.0):  # else log(1 + eps/2) is 0
+        raise InvalidInput(f"eps must be in (0,1) with 1 + eps/2 > 1, got eps={eps!r}")
     k = int(math.floor(math.log(alpha) / math.log(1.0 + eps / 2.0)))
     while _theta(eps, k) > alpha:
         k -= 1
@@ -258,6 +258,8 @@ def tower_scale_range(qt: Quadtree, eps: float) -> tuple[int, int]:
     lo_val = (min_pairwise_distance(pts) / 2.0) / (1.0 + eps)
     hi_val = meb(pts).radius * (1.0 + eps)
     base = math.log(1.0 + eps / 2.0)
+    if base == 0.0:
+        raise InvalidInput(f"eps={eps!r} is too small: 1 + eps/2 rounds to 1")
     ell_min = int(math.floor(math.log(lo_val) / base)) - 1
     ell_max = int(math.ceil(math.log(hi_val) / base)) + 1
     return ell_min, ell_max

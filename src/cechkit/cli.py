@@ -86,19 +86,14 @@ def cmd_filtration(args) -> dict:
 
 
 def cmd_completion(args) -> dict:
+    """Cech's (delta-1)-completion, from Cech up to dimension min(delta-1, pmax+1) only:
+    Rips at half the edge lengths at delta = 2 (eps >= sqrt(2)-1), Cech at delta-1 >= pmax+1."""
     pts = load_points(args.input)
     dlt, top = coreset.delta(args.eps), args.pmax + 1
-    # Up to dimension top the (dlt-1)-completion is the min(dlt-1, top)-completion.
-    filt = complexes.cech_filtration(pts, top)
-    comp = complexes.completion(filt, min(dlt - 1, top), top)
+    i = min(dlt - 1, top)
+    comp = complexes.completion(complexes.cech_filtration(pts, i), i, top)
     dgm = homology.persist_filtration(comp, args.pmax)
-    base = homology.persist_filtration(filt, args.pmax)
-    return {
-        "command": "completion",
-        "delta": dlt,
-        "diagram": dgm.to_json_obj(),
-        "log_bottleneck_vs_cech": diagram.bottleneck_log(dgm, base),
-    }
+    return {"command": "completion", "delta": dlt, "diagram": dgm.to_json_obj()}
 
 
 def cmd_wssd(args) -> dict:

@@ -154,10 +154,10 @@ def rips_filtration(points, kmax: int) -> Filtration:
 def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
     """i-completion: the maximal filtration sharing filt's i-skeleton.
 
-    Simplices of dimension <= i keep their values; a higher simplex
-    enters when all its i-faces are present, i.e. at the maximum of
-    their values.  The input must contain every simplex of dimension
-    <= i over its vertex set (Cech filtrations do).
+    Simplices of dimension <= i keep their values, a higher one enters at the
+    max of its i-faces' values; filt must hold every i-simplex on its vertices.
+    Of Cech, the 1-completion (delta = 2, every eps >= sqrt(2)-1) is Rips at
+    half the edge lengths; for i >= kmax (delta-1 >= pmax+1) it is Cech up to kmax.
     """
     if i < 1:
         raise InvalidInput(f"completion order must be >= 1, got {i}")

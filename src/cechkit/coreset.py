@@ -33,9 +33,9 @@ def delta(eps: float) -> int:
     A small tolerance keeps near-integer arguments (eps = sqrt(2) - 1
     gives exactly 2) from rounding up spuriously; the size stays >= 2.
     """
-    if not 0.0 < eps < math.inf:
-        raise InvalidInput(f"eps must be positive and finite, got {eps}")
-    value = 1.0 / (2.0 * eps + eps * eps) + 1.0
+    value = 1.0 / (2.0 * eps + eps * eps) + 1.0 if eps > 0.0 else math.nan
+    if not (eps < math.inf and value < math.inf):  # a NaN fails too
+        raise InvalidInput(f"eps must be positive and finite, as must delta(eps); got eps={eps!r}")
     return max(2, int(math.ceil(value - _CEIL_TOL)))
 
 

@@ -84,13 +84,14 @@ def _materialize(qt: Quadtree, u: Cell, v: Cell, eps: float) -> WSPair | None:
     # Not quadtree.dyadic_height: log2 rounds a value one ulp below a power
     # of two up to it, which at a normalized cloud's closest pair is the
     # exact-arithmetic height, and the pair keys depend on that start.
-    h = math.floor(math.log2(eps * dist / (2.0 * math.sqrt(qt.d))))
-    for _ in range(_MATERIALIZE_CAP):
+    start = math.floor(math.log2(eps * dist / (2.0 * math.sqrt(qt.d))))
+    if start < qt.L - 1024:  # cell indices below 2^(L-h) must stay finite floats
+        raise InvalidInput(f"WSPD eps={eps!r} is too small: grid height {start} is too fine")
+    for h in range(start, max(start - _MATERIALIZE_CAP, qt.L - 1025), -1):
         cu = qt.cell_containing(qt.points_in(u)[0], min(h, u.height)) if single_u else u
         cv = qt.cell_containing(qt.points_in(v)[0], min(h, v.height)) if single_v else v
         if is_well_separated(cu, cv, eps):
             return WSPair(cu, cv)
-        h -= 1
     return None
 
 

@@ -77,11 +77,14 @@ def test_rips_triangle(capsys, triangle_file):
     assert h1 == []  # edges and triangle enter together
 
 
-def test_completion_close_to_cech(capsys, triangle_file):
-    code, rep = run(capsys, ["completion", triangle_file, "--eps", "0.5"])
+def test_completion_close_to_cech(capsys, tmp_path, triangle_file):
+    cech, comp = tmp_path / "cech.json", tmp_path / "completion.json"
+    assert main(["cech", triangle_file, "--out", str(cech)]) == 0
+    assert main(["completion", triangle_file, "--eps", "0.5", "--out", str(comp)]) == 0
+    assert json.loads(comp.read_text())["delta"] == 2
+    code, rep = run(capsys, ["compare", str(comp), str(cech)])
     assert code == 0
-    assert rep["delta"] == 2
-    assert rep["log_bottleneck_vs_cech"] <= math.log(1.5) + 1e-9
+    assert rep["log_bottleneck"] <= math.log(1.5) + 1e-9
 
 
 def test_wssd_report_and_tuples(capsys, triangle_file):
@@ -162,12 +165,10 @@ def completion_reference(pts, eps, pmax):
         full = homology.persist_filtration(filt, filt.max_dim())
         return homology.PersistenceDiagram({p: full.dim(p) for p in full.dims() if p <= pmax})
 
-    dgm, base = diagram_to_pmax(comp), diagram_to_pmax(cech)
     return {
         "command": "completion",
         "delta": coreset.delta(eps),
-        "diagram": dgm.to_json_obj(),
-        "log_bottleneck_vs_cech": diagram.bottleneck_log(dgm, base),
+        "diagram": diagram_to_pmax(comp).to_json_obj(),
     }
 
 
@@ -182,6 +183,39 @@ def test_completion_matches_full_filtration_reference(capsys, tmp_path, eps, pma
     assert code == 0
     ref = completion_reference(load_points(str(path)), eps, pmax)
     assert rep == json.loads(json.dumps(ref))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("pmax", [0, 1, 2])
+def test_completion_solves_cech_only_up_to_its_order(capsys, tmp_path, monkeypatch, eps, pmax):
+    # The (delta-1)-completion cut at pmax+1 reads Cech values up to
+    # dimension min(delta-1, pmax+1) only, and the report holds no
+    # distance to Cech (`cech` and `compare` give that).
+    kmaxes, solved = [], []
+    cech_filtration, all_support_ball = complexes.cech_filtration, complexes._all_support_ball
+
+    def spy_cech(points, kmax):
+        kmaxes.append(kmax)
+        return cech_filtration(points, kmax)
+
+    def spy_ball(vertices):
+        solved.append(len(vertices))
+        return all_support_ball(vertices)
+
+    def no_bottleneck(*args):
+        raise AssertionError("completion computed a bottleneck distance")
+
+    monkeypatch.setattr(complexes, "cech_filtration", spy_cech)
+    monkeypatch.setattr(complexes, "_all_support_ball", spy_ball)
+    monkeypatch.setattr(diagram, "bottleneck_log", no_bottleneck)
+    path = tmp_path / "pts.txt"
+    np.savetxt(path, random_cloud(np.random.default_rng(73), 8, 4))
+    code, rep = run(capsys, ["completion", str(path), "--eps", str(eps), "--pmax", str(pmax)])
+    assert code == 0
+    assert set(rep) == {"command", "delta", "diagram"}
+    top = min(coreset.delta(eps), pmax + 2)  # vertices of the largest solved simplex
+    assert kmaxes == [top - 1]
+    assert max(solved) == top
 
 
 def test_completion_polynomial_in_n(capsys, tmp_path):
@@ -230,6 +264,22 @@ def test_validate_one_point_skips_jung(capsys, tmp_path):
     assert code == 0
     assert "jung" not in rep["checks"]
     assert rep["ok"]
+
+
+@pytest.mark.parametrize(
+    "command, eps",
+    [
+        ("completion", "1e-320"),  # delta(eps) overflows
+        ("coreset", "1e-320"),
+        ("wssd", "1e-320"),  # the WSPD's grid is finer than float cell indices
+        ("validate", "1e-320"),
+        ("approx", "1e-320"),
+        ("approx", "1e-200"),  # 1 + eps/2 rounds to 1: no scale steps
+    ],
+)
+def test_tiny_eps_exits_3_naming_eps(capsys, triangle_file, command, eps):
+    assert main([command, triangle_file, "--eps", eps]) == 3
+    assert "eps=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["completion", "coreset"])
