@@ -4,14 +4,12 @@ minimum-enclosing-ball coresets, and GF(2) persistent homology."""
 from .errors import CechkitError, DegenerateInput, InvalidInput, ParseError
 from .geometry import Ball, MebResult, diam, expand, meb, meb_of_cells
 from .quadtree import Cell, NormalizedCloud, Quadtree, build, normalize, qcell
-from .wspd import WSPD, WSPair, build_wspd, is_well_separated, wspd_ball_property_check
+from .wspd import WSPD, WSPair, build_wspd, is_well_separated
 from .wssd import (
     WSSD,
     WST,
     build_wssd,
-    covers,
     grid_height_for,
-    removable_point_check,
     simplices_of,
     wst_ball_property_check,
 )

@@ -9,7 +9,8 @@ paper's projection of an eps/12-WSSD to the grid on every cloud checked,
 and geometry alone interleaves it with the Cech tower:
 - psi: a cell's representative point lies in the cell;
 - phi: meb(cells) <= r + sqrt(d) 2^h < theta_k ((1+eps/2)/(1+eps) + eps/3),
-  which is <= theta_k for eps <= 1/2;
+  which is <= theta_k for eps <= 1/2; eps in (1/2, 1) is checked by a
+  seeded test of the maps and the tower's (1+eps)-approximation instead;
 - g: theta_k + eps theta_{k+1}/3 <= theta_{k+1} for every eps < 1.
 
 A tuple of cells is in D_alpha when its union's meb radius is <= theta_k.
@@ -35,6 +36,10 @@ from .wssd import WSSD
 
 # Relative margins of a cell tuple's radius bracket (see `build_A`).
 _LO, _HI = 1.0 - 1e-9, 1.0 + 1e-9
+
+# Most scales a tower may have.  The default range holds about
+# log(spread)/log(1 + eps/2) of them, 69323 on a right triangle at eps=1e-5.
+MAX_TOWER_SCALES = 100_000
 
 
 def _theta(eps: float, ell: int) -> float:
@@ -277,6 +282,12 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
     ell_min, ell_max = ell_range
     if ell_max < ell_min:
         raise InvalidInput("empty scale range")
+    count = ell_max - ell_min + 1
+    if count > MAX_TOWER_SCALES:
+        raise InvalidInput(
+            f"eps={eps!r} and l in [{ell_min}, {ell_max}] give {count} scales, "
+            f"above the limit of {MAX_TOWER_SCALES}"
+        )
     # theta is monotone in l, so an unrepresentable scale shows at an end.
     theta_value(eps, ell_min), theta_value(eps, ell_max)
     scales = [theta_value(eps, ell) for ell in range(ell_min, ell_max + 1)]

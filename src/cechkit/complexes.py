@@ -41,28 +41,6 @@ class Filtration:
     def complex_at(self, alpha: float, tol: float = 0.0) -> set[tuple[int, ...]]:
         return {s for s, v in self.entries if v <= alpha + tol}
 
-    def max_dim(self) -> int:
-        return max((len(s) - 1 for s, _ in self.entries), default=-1)
-
-    def dump(self) -> str:
-        lines = [f"{' '.join(map(str, s))} ; {v!r}" for s, v in self.entries]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse(text: str) -> "Filtration":
-        entries = []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                left, right = line.split(";")
-                simplex = tuple(int(t) for t in left.split())
-                entries.append((simplex, float(right)))
-            except ValueError as exc:
-                raise InvalidInput(f"bad filtration line {ln}: {line!r}") from exc
-        return Filtration(entries)
-
 
 def _complete(values, vertices, i: int, kmax: int) -> Filtration:
     """Keep `values` up to dimension i (it must hold every such simplex)
@@ -174,7 +152,6 @@ def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
 class SandwichReport:
     eps: float
     delta: int
-    alphas: list[float]
     violations: list[tuple[float, tuple[int, ...], str]] = field(default_factory=list)
 
     @property
@@ -194,7 +171,7 @@ def check_completion_sandwich(points, eps: float, alphas) -> SandwichReport:
     cech_vals = cech.value_of()
     comp_vals = comp.value_of()
 
-    report = SandwichReport(eps=eps, delta=dlt, alphas=list(alphas))
+    report = SandwichReport(eps=eps, delta=dlt)
     for alpha in alphas:
         c_a = cech.complex_at(alpha)
         m_a = comp.complex_at(alpha)

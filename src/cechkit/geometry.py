@@ -56,8 +56,8 @@ class Ball:
         if self.radius < 0:
             raise InvalidInput(f"negative radius {self.radius}")
 
-    def contains(self, point, tol: float = TAU_GEOM) -> bool:
-        return math.dist(point, self.center) <= self.radius * (1.0 + tol) + tol
+    def contains(self, point) -> bool:
+        return math.dist(point, self.center) <= self.radius * (1.0 + TAU_GEOM) + TAU_GEOM
 
 
 @dataclass(frozen=True)

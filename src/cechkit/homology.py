@@ -31,17 +31,6 @@ class SComplex:
 
     simplices: set
 
-    @staticmethod
-    def from_simplices(simplices) -> "SComplex":
-        return SComplex({tuple(sorted(set(s))) for s in simplices})
-
-    def closure(self) -> "SComplex":
-        out = set()
-        for s in self.simplices:
-            for k in range(1, len(s) + 1):
-                out.update(itertools.combinations(s, k))
-        return SComplex(out)
-
     def is_closed(self) -> bool:
         for s in self.simplices:
             if len(s) == 1:
@@ -54,14 +43,8 @@ class SComplex:
     def vertices(self) -> list:
         return sorted({v for s in self.simplices for v in s})
 
-    def dim_simplices(self, p: int) -> list:
-        return sorted(s for s in self.simplices if len(s) == p + 1)
-
     def max_dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
 
 @dataclass
@@ -85,10 +68,6 @@ class VertexMap:
             self.codomain,
             {v: self.mapping[w] for v, w in other.mapping.items()},
         )
-
-
-def identity_map(K: SComplex) -> VertexMap:
-    return VertexMap(K, K, {v: v for v in K.vertices()})
 
 
 def check_contiguous(f: VertexMap, g: VertexMap) -> bool:

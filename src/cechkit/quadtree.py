@@ -43,16 +43,8 @@ class Cell(NamedTuple):
     def side(self) -> float:
         return 2.0 ** self.height
 
-    @property
-    def lo(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(i * s for i in self.index)
-
     def diam(self) -> float:
         return self.side * math.sqrt(self.d)
-
-    def center(self) -> np.ndarray:
-        return (np.asarray(self.index, dtype=float) + 0.5) * self.side
 
     def corner_tuples(self) -> list[tuple[float, ...]]:
         """The 2^d corners; bit a of a corner's position picks hi on axis a."""
@@ -62,9 +54,6 @@ class Cell(NamedTuple):
 
     def corners(self) -> np.ndarray:
         return np.array(self.corner_tuples())
-
-    def contains_point(self, x) -> bool:
-        return cell_index_of(x, self.height) == self.index
 
     def distance_to_point(self, x) -> float:
         s = self.side
@@ -82,8 +71,8 @@ class Cell(NamedTuple):
             total += gap * gap
         return math.sqrt(total)
 
-    def intersects_ball(self, ball: Ball, tol: float = 1e-12) -> bool:
-        return self.distance_to_point(ball.center) <= ball.radius + tol
+    def intersects_ball(self, ball: Ball) -> bool:
+        return self.distance_to_point(ball.center) <= ball.radius + 1e-12
 
 
 def dyadic_height(x: float) -> int:
@@ -106,8 +95,7 @@ class NormalizedCloud:
     points: np.ndarray  # (n, d), inside [0, 2^L)^d
     d: int
     L: int
-    scale: float  # normalized = (raw - offset) * scale
-    offset: np.ndarray
+    scale: float  # normalized = (raw - raw.min(axis=0)) * scale
 
     @property
     def n(self) -> int:
@@ -115,9 +103,6 @@ class NormalizedCloud:
 
     def to_original_length(self, r: float) -> float:
         return r / self.scale
-
-    def to_normalized_length(self, r: float) -> float:
-        return r * self.scale
 
 
 def normalize(raw_points) -> NormalizedCloud:
@@ -132,7 +117,7 @@ def normalize(raw_points) -> NormalizedCloud:
 
     offset = pts.min(axis=0).copy()
     if n == 1:
-        return NormalizedCloud(np.zeros((1, d)), d, 0, 1.0, offset)
+        return NormalizedCloud(np.zeros((1, d)), d, 0, 1.0)
 
     mdist = min_pairwise_distance(pts)
     if mdist == 0.0:
@@ -142,7 +127,7 @@ def normalize(raw_points) -> NormalizedCloud:
     scale = (1.0 / math.sqrt(d)) / mdist
     shifted = (pts - offset) * scale
     L = max(0, dyadic_height(float(shifted.max())) + 1)
-    return NormalizedCloud(shifted, d, L, scale, offset)
+    return NormalizedCloud(shifted, d, L, scale)
 
 
 @dataclass
@@ -173,9 +158,6 @@ class Quadtree:
                 lev.setdefault(cell_index_of(x, h), []).append(i)
             self._levels[h] = lev
         return self._levels[h]
-
-    def cells_at(self, h: int) -> list[Cell]:
-        return [Cell(h, idx) for idx in sorted(self.level(h))]
 
     def points_in(self, cell: Cell) -> list[int]:
         return self.level(cell.height).get(cell.index, [])

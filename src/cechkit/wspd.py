@@ -31,9 +31,6 @@ class WSPair:
     q: Cell
     q2: Cell
 
-    def certificate(self) -> tuple[float, float]:
-        return max(self.q.diam(), self.q2.diam()), self.q.distance_to_cell(self.q2)
-
     def key(self):
         return (self.q, self.q2) if self.q <= self.q2 else (self.q2, self.q)
 
@@ -134,16 +131,6 @@ def build_wspd(qt: Quadtree, eps: float) -> WSPD:
 
     pairs = [out[k] for k in sorted(out)]
     return WSPD(eps, pairs)
-
-
-def wspd_ball_property_check(
-    qt: Quadtree, pair: WSPair, eps: float, trials: int, seed: int = 0
-) -> bool:
-    """Randomized check of the expansion property of well-separated pairs:
-    balls meeting both cells, (1 + 2*eps)-expanded, swallow both cells."""
-    if not qt.points_in(pair.q) or not qt.points_in(pair.q2):
-        raise InvalidInput("pair cells must be nonempty")
-    return _expansion_sample_check((pair.q, pair.q2), 1.0 + 2.0 * eps, trials, seed)
 
 
 def _expansion_sample_check(cells, factor: float, trials: int, seed: int) -> bool:

@@ -13,11 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .diagram import perfect_matching
 from .errors import InvalidInput
-from .geometry import Ball, MebResult, meb, meb_of_cells
+from .geometry import Ball, MebResult, meb_of_cells
 from .quadtree import Cell, Quadtree, dyadic_height
 from .wspd import _expansion_sample_check, build_wspd
 
@@ -94,28 +91,12 @@ def build_wssd(qt: Quadtree, eps: float, kmax: int) -> WSSD:
     return WSSD(eps, gammas)
 
 
-def covers(t: WST, vertex_points) -> bool:
-    """Permutation test: does the tuple cover the simplex on these points?
-
-    `vertex_points` holds the k+1 vertex coordinates of the simplex.
-    """
-    pts = np.asarray(vertex_points, dtype=float)
-    if pts.shape[0] != len(t.cells):
-        raise InvalidInput(
-            f"simplex arity {pts.shape[0]} does not match tuple arity {len(t.cells)}"
-        )
-    allowed = [
-        [j for j, cell in enumerate(t.cells) if cell.contains_point(p)] for p in pts
-    ]
-    return perfect_matching(allowed, len(t.cells)) is not None
-
-
 def covered_simplices(qt: Quadtree, tuples, k: int) -> set[tuple[int, ...]]:
     """Every k-simplex that some (k+1)-tuple covers.
 
-    Enumerates each tuple's distinct choices of one point per cell,
-    which is what the permutation test of `covers` accepts, instead of
-    testing each simplex against each tuple.
+    Enumerates each tuple's distinct choices of one point per cell (a
+    tuple covers a simplex when a matching puts each vertex in its own
+    cell) instead of testing each simplex against each tuple.
     """
     out = set()
     for t in tuples:
@@ -147,25 +128,6 @@ def wst_ball_property_check(t: WST, eps: float, trials: int, seed: int = 0) -> b
     """Randomized check of the defining tuple property: balls meeting
     every cell, (1+eps)-expanded, contain the whole cell union."""
     return _expansion_sample_check(t.cells, 1.0 + eps, trials, seed)
-
-
-def removable_point_check(points) -> int:
-    """Index of a point p with |p - center(P \\ p)| <= c(d) * rad(P \\ p).
-
-    The bound c(d) = (1 + 1/d) / sqrt(1 - 1/d^2) is at most 2 for d >= 2.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        raise InvalidInput("need at least 3 points")
-    d = pts.shape[1]
-    factor = (1.0 + 1.0 / d) / math.sqrt(1.0 - 1.0 / d**2) if d >= 2 else 2.0
-    for i in range(pts.shape[0]):
-        rest = np.delete(pts, i, axis=0)
-        res = meb(rest)
-        dist = float(np.linalg.norm(pts[i] - res.center))
-        if dist <= factor * res.radius * (1.0 + 1e-9) + 1e-12:
-            return i
-    raise InvalidInput("no removable point found (violates the removal lemma)")
 
 
 def simplices_of(n: int, k: int):

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cechkit.quadtree import Cell, cell_index_of
+
 # Hypothesis caches the literals it finds in local source files under its
 # storage directory, even with database=None; keep that cache out of the
 # working tree, in a directory removed when the test run exits.
@@ -45,6 +47,26 @@ def is_face_monotone(filt):
             if face not in values or values[face] > v + 1e-12:
                 return False
     return True
+
+
+def filtration_max_dim(filt):
+    """Largest simplex dimension of a filtration; -1 when it is empty."""
+    return max((len(s) - 1 for s, _ in filt.entries), default=-1)
+
+
+def cell_lo(cell):
+    """Lower corner of a quadtree cell."""
+    return tuple(i * cell.side for i in cell.index)
+
+
+def contains_point(cell, x):
+    """Is x in the cell's half-open box?"""
+    return cell_index_of(x, cell.height) == cell.index
+
+
+def cells_at(qt, h):
+    """The nonempty height-h cells of a quadtree, sorted by index."""
+    return [Cell(h, idx) for idx in sorted(qt.level(h))]
 
 
 def bench_module(name):

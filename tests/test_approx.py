@@ -21,13 +21,24 @@ from cechkit.approx import (
     theta_value,
     tower_scale_range,
 )
+from cechkit.complexes import cech_filtration
+from cechkit.diagram import bottleneck_log
 from cechkit.errors import InvalidInput
 from cechkit.geometry import meb, meb_of_cells
-from cechkit.homology import INF, SComplex, Tower, check_contiguous, tower_diagram
+from cechkit.homology import (
+    INF,
+    PersistenceDiagram,
+    SComplex,
+    Tower,
+    VertexMap,
+    check_contiguous,
+    persist_filtration,
+    tower_diagram,
+)
 from cechkit.quadtree import Cell, build, normalize, qcell
 from cechkit.wssd import build_wssd
 
-from conftest import TRIANGLE, bench_module, random_cloud
+from conftest import TRIANGLE, bench_module, cells_at, random_cloud
 
 
 def make(pts, eps, kmax=None):
@@ -240,6 +251,43 @@ def test_build_tower_empty_range():
         build_tower(qt, dec, 0.5, (3, 1))
 
 
+def test_maps_and_tower_approximation_above_eps_one_half():
+    # The module docstring's bound phi <= theta_k holds for eps <= 1/2
+    # only; eps in (1/2, 1) is checked here, with the checks of
+    # acceptance criteria 4 and 5 at eps = 0.9.
+    rng = np.random.default_rng(1009)
+    eps = 0.9
+    for _ in range(40):
+        qt, dec = make(random_cloud(rng, int(rng.integers(4, 11)), 2), eps)
+        pts = qt.cloud.points
+        alpha = float(rng.uniform(0.4, 1.5))
+        a1 = build_A(qt, dec, alpha, eps)
+        a2 = build_A(qt, dec, alpha * (1.0 + eps), eps)
+        assert a1.complex.is_closed() and a2.complex.is_closed()
+        g, psi1 = map_g(a1, a2), map_psi(qt, a1)
+        for f in (g, map_phi(pts, a1, eps), psi1):
+            assert f.is_simplicial()
+        phi2 = map_phi(pts, a2, eps)
+        for cell in a1.complex.vertices():
+            assert phi2.mapping[psi1.mapping[cell]] == g.mapping[cell]
+        psi2 = map_psi(qt, a1, kmax=2 * qt.d + 1)
+        comp = psi2.compose(map_phi(pts, a1, eps, kmax=qt.d))
+        incl = VertexMap(comp.domain, psi2.codomain, {v: v for v in comp.domain.vertices()})
+        assert incl.is_simplicial() and check_contiguous(comp, incl)
+        psi_big = map_psi(qt, a2, kmax=2 * qt.d + 1)
+        right = VertexMap(a1.complex, psi_big.codomain, psi2.mapping)
+        assert check_contiguous(psi_big.compose(g), right)
+
+        tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+        exact = persist_filtration(cech_filtration(pts, 2), 1)
+        for p in (0, 1):
+            log_c = bottleneck_log(
+                PersistenceDiagram({p: tower_diagram(tower, p).dim(p)}),
+                PersistenceDiagram({p: exact.dim(p)}),
+            )
+            assert log_c <= math.log(1.0 + eps) + 1e-9
+
+
 def _two_clusters(rng, n, sigma=0.01):
     """Two planar Gaussian clusters 0.7 apart: a wide spread of scales."""
     centers = np.array([[0.15, 0.5], [0.85, 0.5]])
@@ -373,7 +421,7 @@ def ref_build_A(qt, wssd, alpha, eps, rad_cache):
     the complex if the meb radius of its cell union is <= theta_k."""
     params = scale_params(alpha, eps, qt.d)
     h, theta_k = params.h_alpha, params.theta_k
-    simplices = {(c,) for c in qt.cells_at(h)}
+    simplices = {(c,) for c in cells_at(qt, h)}
     for t in wssd.all_tuples():
         if any(c.height > h for c in t.cells) or t.rad > theta_k:
             continue
@@ -391,7 +439,7 @@ def brute_D(qt, kmax, alpha, eps, rad_cache):
     """D_alpha by definition: every tuple of 2..kmax+1 nonempty
     height-h_alpha cells whose union has meb radius <= theta_k."""
     params = scale_params(alpha, eps, qt.d)
-    cells = qt.cells_at(params.h_alpha)
+    cells = cells_at(qt, params.h_alpha)
     out = {(c,) for c in cells}
     for size in range(2, kmax + 2):
         for t in itertools.combinations(cells, size):

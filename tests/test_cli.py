@@ -2,17 +2,24 @@
 
 import json
 import math
+import os
+import resource
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cechkit import complexes, coreset, diagram, homology
+from cechkit import cli, complexes, coreset, diagram, homology
 from cechkit.cli import load_points, main
 from cechkit.errors import ParseError
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, filtration_max_dim, random_cloud
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -162,7 +169,7 @@ def completion_reference(pts, eps, pmax):
     comp = complexes.completion(cech, coreset.delta(eps) - 1, n - 1)
 
     def diagram_to_pmax(filt):
-        full = homology.persist_filtration(filt, filt.max_dim())
+        full = homology.persist_filtration(filt, filtration_max_dim(filt))
         return homology.PersistenceDiagram({p: full.dim(p) for p in full.dims() if p <= pmax})
 
     return {
@@ -494,6 +501,45 @@ def test_meb_coreset_of_huge_triangle_returns(capsys, tmp_path):
     assert rep["factor"] == pytest.approx(1.0)
 
 
+@pytest.fixture
+def right_triangle_file(tmp_path):
+    path = tmp_path / "right.txt"
+    path.write_text("0 0\n1 0\n0 1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags, count",
+    [
+        (["--eps", "1e-6"], 693156),
+        (["--ell-min", "-1000000", "--ell-max", "1000000"], 2000001),
+    ],
+)
+def test_approx_above_the_scale_limit_exits_3(capsys, right_triangle_file, flags, count):
+    # Every scale and its grid parameters were listed before the first
+    # complex was built: eps = 1e-6 took about 35 s on a right triangle.
+    def timed_out(signum, frame):
+        raise TimeoutError("approx did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        code = main(["approx", right_triangle_file, *flags])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "eps=" in err and f"{count} scales" in err
+
+
+def test_approx_below_the_scale_limit_runs(capsys, right_triangle_file):
+    code, rep = run(capsys, ["approx", right_triangle_file, "--eps", "1e-4"])
+    assert code == 0
+    lo, hi = rep["ell_range"]
+    assert len(rep["scales"]) == hi - lo + 1
+
+
 def test_approx_far_negative_ell_min_names_the_exponent(capsys, triangle_file):
     # theta_-3300 is a positive subnormal, but its grid is too fine.
     assert main(["approx", triangle_file, "--ell-min", "-3300"]) == 3
@@ -525,6 +571,40 @@ def test_approx_kmax_above_dimension_exits_3(capsys, triangle_file):
 def test_negative_pmax_exits_3(capsys, triangle_file, command):
     assert main([command, triangle_file, "--pmax", "-1"]) == 3
     assert "pmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cech", "rips", "completion"])
+@pytest.mark.parametrize("limit, code", [(6, 3), (7, 0)])
+def test_filtration_entry_limit(capsys, monkeypatch, triangle_file, command, limit, code):
+    # The triangle's 2-skeleton has 7 entries.
+    monkeypatch.setattr(cli, "MAX_ENTRIES", limit)
+    assert main([command, triangle_file, "--pmax", "1"]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert "7 filtration entries" in err and "limit of 6" in err
+
+
+@pytest.mark.parametrize("command", ["cech", "completion"])
+def test_filtration_above_the_entry_limit_exits_before_building(tmp_path, command):
+    # 60 points at pmax 2 make 523685 entries, whose bitset columns would
+    # take about 17 GB; built, they end in a MemoryError under this cap.
+    path = tmp_path / "g60.txt"
+    np.savetxt(path, np.random.default_rng(3).standard_normal((60, 100)))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cechkit.cli", command, str(path), "--pmax", "2"],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "523685 filtration entries" in proc.stderr
+    assert f"limit of {cli.MAX_ENTRIES}" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from cechkit.complexes import (
 from cechkit.errors import InvalidInput
 from cechkit.geometry import TAU_GEOM, circumball, covers, meb
 
-from conftest import TRIANGLE, is_face_monotone, random_cloud
+from conftest import TRIANGLE, filtration_max_dim, is_face_monotone, random_cloud
 
 
 def test_cech_filtration_triangle():
@@ -263,22 +263,8 @@ def test_sandwich_small_eps():
     assert report.ok, report.violations[:3]
 
 
-def test_dump_parse_round_trip():
-    rng = np.random.default_rng(58)
-    filt = cech_filtration(random_cloud(rng, 6, 2), 2)
-    back = Filtration.parse(filt.dump())
-    assert back.entries == filt.entries
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(InvalidInput):
-        Filtration.parse("0 1 ; not-a-number\n")
-    with pytest.raises(InvalidInput):
-        Filtration.parse("just words\n")
-
-
 def test_complex_at_threshold():
     filt = Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.5)])
     assert filt.complex_at(0.4) == {(0,), (1,)}
     assert filt.complex_at(0.5) == {(0,), (1,), (0, 1)}
-    assert filt.max_dim() == 1
+    assert filtration_max_dim(filt) == 1

@@ -23,7 +23,7 @@ from cechkit.geometry import (
 )
 from cechkit.quadtree import Cell
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, cell_lo, random_cloud
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def test_row_distances_are_the_plain_norms_at_ordinary_scales():
 def _corners_loop(cell):
     # the per-corner loop `Cell.corners` used to run
     d = cell.d
-    lo = cell.lo
+    lo = cell_lo(cell)
     out = np.empty((1 << d, d))
     for m in range(1 << d):
         for a in range(d):

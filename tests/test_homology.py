@@ -18,12 +18,33 @@ from cechkit.homology import (
     _coned_filtration,
     check_contiguous,
     filtration_tower,
-    identity_map,
     persist_filtration,
     tower_diagram,
 )
 
-from conftest import TRIANGLE, bench_module, random_cloud
+from conftest import TRIANGLE, bench_module, filtration_max_dim, random_cloud
+
+
+def closure(simplices):
+    """The complex of every face of the given sorted simplices."""
+    out = set()
+    for s in simplices:
+        for k in range(1, len(s) + 1):
+            out.update(itertools.combinations(s, k))
+    return SComplex(out)
+
+
+def dim_simplices(K, p):
+    """The p-simplices of K, sorted."""
+    return sorted(s for s in K.simplices if len(s) == p + 1)
+
+
+def euler_characteristic(K):
+    return sum((-1) ** (len(s) - 1) for s in K.simplices)
+
+
+def identity_map(K):
+    return VertexMap(K, K, {v: v for v in K.vertices()})
 
 
 def circle_complex(n, labels=None):
@@ -106,7 +127,7 @@ def test_persist_betti_matches_euler():
         for p in range(7):
             alive = sum(1 for b, d in dgm.dim(p) if b <= alpha < d)
             betti.append(alive)
-        assert sum((-1) ** p * bp for p, bp in enumerate(betti)) == K.euler_characteristic()
+        assert sum((-1) ** p * bp for p, bp in enumerate(betti)) == euler_characteristic(K)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,8 +139,8 @@ def test_persist_cut_at_pmax_plus_one_keeps_low_dimensions(seed):
     pts = random_cloud(rng, n, d)
     cech = cech_filtration(pts, n - 1)
     for filt in (cech, rips_filtration(pts, n - 1), completion(cech, 1 + seed % 3, n - 1)):
-        full = persist_filtration(filt, filt.max_dim())
-        for p in range(filt.max_dim() + 1):
+        full = persist_filtration(filt, filtration_max_dim(filt))
+        for p in range(filtration_max_dim(filt) + 1):
             cut = persist_filtration(filt, p)
             assert cut.dims() == [q for q in full.dims() if q <= p]
             for q in range(p + 1):
@@ -218,8 +239,8 @@ def test_tower_collapse_keeps_the_larger_star():
     # Pendant vertex 0 collapses onto hub 5 of a star graph.  Coning the
     # pendant's star onto the hub adds nothing; the other way round would
     # add an edge and a triangle per leaf.
-    K = SComplex.from_simplices([(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]).closure()
-    L = SComplex.from_simplices([(1, 5), (2, 5), (3, 5), (4, 5)]).closure()
+    K = closure([(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
+    L = closure([(1, 5), (2, 5), (3, 5), (4, 5)])
     t = Tower([K, L], [VertexMap(K, L, {v: 5 if v == 0 else v for v in range(6)})], [1.0, 2.0])
     assert len(_coned_filtration(t)) == len(K.simplices)
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
@@ -249,7 +270,7 @@ def test_tower_checks_each_map_on_the_complex_it_maps():
 def test_tower_rejects_a_merge_onto_a_missing_edge():
     # 0 and 1 merge, so the path's edge (1, 2) lands on (0, 2): only the
     # complex after the collapse shows it, and the target lacks that edge.
-    K = SComplex.from_simplices([(0, 1), (1, 2)]).closure()
+    K = closure([(0, 1), (1, 2)])
     merge = {0: 0, 1: 0, 2: 2}
     L = SComplex({(0,), (2,)})
     with pytest.raises(InvalidInput, match="not simplicial"):
@@ -409,9 +430,9 @@ def _boundary_bits(simplex, index_lower):
 
 def homology_basis(K, p):
     """Basis of H_p(K) over GF(2), cycles as bitsets over the p-simplices."""
-    sp = K.dim_simplices(p)
+    sp = dim_simplices(K, p)
     index = {s: i for i, s in enumerate(sp)}
-    lower = {s: i for i, s in enumerate(K.dim_simplices(p - 1))} if p > 0 else {}
+    lower = {s: i for i, s in enumerate(dim_simplices(K, p - 1))} if p > 0 else {}
     kernel = []
     ech = _Echelon()
     for j, s in enumerate(sp):
@@ -432,7 +453,7 @@ def homology_basis(K, p):
             kernel.append(t)
     boundaries = []
     img = _Echelon()
-    for s in K.dim_simplices(p + 1):
+    for s in dim_simplices(K, p + 1):
         bnd = _boundary_bits(s, index)
         if img.add(bnd):
             boundaries.append(bnd)
@@ -564,7 +585,7 @@ def _random_complex(rng, labels, probs=(0.45, 0.12, 0.04)):
     simplices = {(v,) for v in labels}
     for k, prob in zip((2, 3, 4), probs):
         simplices.update(s for s in itertools.combinations(labels, k) if rng.random() < prob)
-    return SComplex(simplices).closure()
+    return closure(simplices)
 
 
 def random_vertex_map_tower(rng, births_at_zero):

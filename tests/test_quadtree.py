@@ -10,7 +10,15 @@ from cechkit.errors import DegenerateInput, InvalidInput
 from cechkit.geometry import Ball
 from cechkit.quadtree import Cell, build, cell_index_of, dyadic_height, normalize, qcell
 
-from conftest import random_cloud
+from conftest import cell_lo, cells_at, contains_point, random_cloud
+
+
+def cell_center(cell):
+    return (np.asarray(cell.index, dtype=float) + 0.5) * cell.side
+
+
+def to_normalized_length(cloud, r):
+    return r * cloud.scale
 
 
 def test_normalize_two_points():
@@ -53,13 +61,13 @@ def test_normalize_min_distance_invariant():
         assert mind == pytest.approx(1.0 / math.sqrt(d), rel=1e-9)
         assert (cloud.points >= 0).all() and (cloud.points < 2.0**cloud.L).all()
         # round trip of lengths through the recorded transform
-        assert cloud.to_original_length(cloud.to_normalized_length(1.7)) == pytest.approx(1.7)
+        assert cloud.to_original_length(to_normalized_length(cloud, 1.7)) == pytest.approx(1.7)
 
 
 def test_build_single_point_chain():
     qt = build(normalize([[3.0, 1.0]]))
     for h in (0, 1, 2):
-        cells = qt.cells_at(h)
+        cells = cells_at(qt, h)
         assert len(cells) == 1
         assert qt.rep(cells[0]) == 0
 
@@ -78,11 +86,11 @@ def test_representative_heredity():
     rng = np.random.default_rng(9)
     qt = build(normalize(random_cloud(rng, 20, 2)))
     for h in range(0, qt.L + 1):
-        for cell in qt.cells_at(h):
+        for cell in cells_at(qt, h):
             kids = qt.children(cell) if h > 0 else []
             if kids:
                 assert qt.rep(cell) in {qt.rep(c) for c in kids}
-            assert cell.contains_point(qt.cloud.points[qt.rep(cell)])
+            assert contains_point(cell, qt.cloud.points[qt.rep(cell)])
 
 
 def test_grid_partition_and_leaf_uniqueness():
@@ -162,8 +170,8 @@ def test_cell_geometry():
     c = Cell(-1, (1, 1))
     assert c.side == 0.5
     assert c.diam() == pytest.approx(0.5 * math.sqrt(2.0))
-    assert c.contains_point([0.5, 0.7])
-    assert not c.contains_point([1.0, 0.7])  # half-open upper face
+    assert contains_point(c, [0.5, 0.7])
+    assert not contains_point(c, [1.0, 0.7])  # half-open upper face
     assert c.distance_to_cell(Cell(-1, (3, 1))) == pytest.approx(0.5)
     assert cell_index_of(np.array([0.5, 0.7]), -1) == (1, 1)
 
@@ -181,8 +189,8 @@ def test_nonempty_cells_intersecting_point_ball():
 def test_nonempty_cells_intersecting_root_ball():
     rng = np.random.default_rng(14)
     qt = build(normalize(random_cloud(rng, 12, 2)))
-    big = Ball(tuple(qt.root().center()), 2.0 ** (qt.L + 2))
-    assert qt.nonempty_cells_intersecting(big, 1) == qt.cells_at(1)
+    big = Ball(tuple(cell_center(qt.root())), 2.0 ** (qt.L + 2))
+    assert qt.nonempty_cells_intersecting(big, 1) == cells_at(qt, 1)
 
 
 def test_nonempty_cells_intersecting_matches_bruteforce():
@@ -200,7 +208,7 @@ def test_nonempty_cells_intersecting_matches_bruteforce():
                     radius = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, side))
                     ball = Ball(tuple(float(c) for c in center), radius)
                     got = qt.nonempty_cells_intersecting(ball, h)
-                    want = [c for c in qt.cells_at(h) if c.intersects_ball(ball)]
+                    want = [c for c in cells_at(qt, h) if c.intersects_ball(ball)]
                     assert got == want
 
 
@@ -223,7 +231,7 @@ def test_children_match_probe_loop():
         for n in (2, 9, 17):
             qt = build(normalize(random_cloud(rng, n, d)))
             for h in range(-3, qt.L + 3):
-                for cell in qt.cells_at(h):
+                for cell in cells_at(qt, h):
                     assert qt.children(cell) == ref_children(qt, cell)
                 # an empty cell has no children
                 assert qt.children(Cell(h, (-1,) * d)) == []
@@ -237,7 +245,7 @@ def test_near_matches_ancestor_bruteforce():
             for H in range(h, qt.L + 2):
                 buckets = qt.buckets(h, H)
                 assert qt.buckets(h, H) is buckets
-                assert sorted(c for g in buckets.values() for c in g) == qt.cells_at(h)
+                assert sorted(c for g in buckets.values() for c in g) == cells_at(qt, h)
                 for a, group in buckets.items():
                     assert isinstance(group, tuple) and list(group) == sorted(group)
                     assert all(qcell(c, H).index == a for c in group)
@@ -245,7 +253,7 @@ def test_near_matches_ancestor_bruteforce():
                     top = 2 ** max(qt.L - H, 0)
                     anchor = Cell(H, tuple(int(i) for i in rng.integers(-1, top + 1, size=d)))
                     want = [
-                        c for c in qt.cells_at(h)
+                        c for c in cells_at(qt, h)
                         if max(abs(i - j) for i, j in zip(qcell(c, H).index, anchor.index)) <= 1
                     ]
                     assert sorted(qt.near(anchor, h)) == want
@@ -301,13 +309,13 @@ def test_cell_geometry_matches_numpy_reference():
         d = int(rng.integers(1, 5))
         cell = Cell(int(rng.integers(-3, 5)), tuple(int(i) for i in rng.integers(-6, 7, size=d)))
         lo, hi = ref_lo_hi(cell)
-        assert cell.lo == tuple(lo)
+        assert cell_lo(cell) == tuple(lo)
         for _ in range(6):
             x = _probe_point(rng, cell)
             on_corner += all(x[a] in (lo[a], hi[a]) for a in range(d))
             want = ref_distance_to_point(cell, x)
             assert abs(cell.distance_to_point(x) - want) <= 1e-12
-            assert cell.contains_point(x) == ref_contains_point(cell, x)
+            assert contains_point(cell, x) == ref_contains_point(cell, x)
             for radius in (want, 0.5 * want, 2.0 * want + 1e-3, 0.0):
                 ball = Ball(tuple(x), radius)
                 assert cell.intersects_ball(ball) == ref_intersects_ball(cell, ball)

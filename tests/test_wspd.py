@@ -7,9 +7,22 @@ import pytest
 
 from cechkit.errors import InvalidInput
 from cechkit.quadtree import Cell, build, normalize
-from cechkit.wspd import build_wspd, is_well_separated, wspd_ball_property_check
+from cechkit.wspd import _expansion_sample_check, build_wspd, is_well_separated
 
 from conftest import random_cloud
+
+
+def certificate(pair):
+    """(larger cell diameter, cell distance) of a well-separated pair."""
+    return max(pair.q.diam(), pair.q2.diam()), pair.q.distance_to_cell(pair.q2)
+
+
+def wspd_ball_property_check(qt, pair, eps, trials, seed=0):
+    """Randomized check of the expansion property of well-separated pairs:
+    balls meeting both cells, (1 + 2*eps)-expanded, swallow both cells."""
+    if not qt.points_in(pair.q) or not qt.points_in(pair.q2):
+        raise InvalidInput("pair cells must be nonempty")
+    return _expansion_sample_check((pair.q, pair.q2), 1.0 + 2.0 * eps, trials, seed)
 
 
 def test_is_well_separated_arithmetic():
@@ -61,7 +74,7 @@ def test_wspd_exhaustive_coverage_and_separation():
         w = build_wspd(qt, 0.5)
         for pair in w.pairs:
             assert is_well_separated(pair.q, pair.q2, 0.5)
-            dmax, dist = pair.certificate()
+            dmax, dist = certificate(pair)
             assert dmax <= 0.5 * dist * (1.0 + 1e-12)
         cover = _coverage_map(qt, w)
         assert set(cover) == {(i, j) for i in range(n) for j in range(i + 1, n)}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cechkit import wssd
+from cechkit.diagram import perfect_matching
 from cechkit.errors import InvalidInput
 from cechkit.geometry import meb
 from cechkit.quadtree import Cell, build, normalize
@@ -15,16 +16,47 @@ from cechkit.wssd import (
     WSSD,
     WST,
     build_wssd,
-    covers,
     grid_height_for,
     heights_bounded,
     is_covering,
-    removable_point_check,
     simplices_of,
     wst_ball_property_check,
 )
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, contains_point, random_cloud
+
+
+def covers(t, vertex_points):
+    """Permutation test: does the tuple cover the simplex on these points?
+
+    `vertex_points` holds the k+1 vertex coordinates of the simplex.
+    """
+    pts = np.asarray(vertex_points, dtype=float)
+    if pts.shape[0] != len(t.cells):
+        raise InvalidInput(
+            f"simplex arity {pts.shape[0]} does not match tuple arity {len(t.cells)}"
+        )
+    allowed = [[j for j, cell in enumerate(t.cells) if contains_point(cell, p)] for p in pts]
+    return perfect_matching(allowed, len(t.cells)) is not None
+
+
+def removable_point_check(points):
+    """Index of a point p with |p - center(P \\ p)| <= c(d) * rad(P \\ p).
+
+    The bound c(d) = (1 + 1/d) / sqrt(1 - 1/d^2) is at most 2 for d >= 2.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 3:
+        raise InvalidInput("need at least 3 points")
+    d = pts.shape[1]
+    factor = (1.0 + 1.0 / d) / math.sqrt(1.0 - 1.0 / d**2) if d >= 2 else 2.0
+    for i in range(pts.shape[0]):
+        rest = np.delete(pts, i, axis=0)
+        res = meb(rest)
+        dist = float(np.linalg.norm(pts[i] - res.center))
+        if dist <= factor * res.radius * (1.0 + 1e-9) + 1e-12:
+            return i
+    raise InvalidInput("no removable point found (violates the removal lemma)")
 
 
 def covered_simplices(qt, tuples, k):
