@@ -16,7 +16,9 @@ and geometry alone interleaves it with the Cech tower:
 A tuple of cells is in D_alpha when its union's meb radius is <= theta_k.
 Each simplex carries a certified bracket of that radius, exact for a
 pair of cells and narrower than a scale step for more, so the union is
-solved only at the one scale its bracket may hold, if any.
+solved only at the one scale its bracket may hold, if any.  A pair's
+radius and three cells' centre radius are closed forms in their integer
+index differences; only four or more cells run the meb pivot loop.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ class ApproxComplex:
         each simplex settled at its theta_k (see `build_A`), faces first."""
         if params.h_alpha != self.h or params.theta_k > self.params.theta_k:
             raise InvalidInput("a cut needs the same height and no larger theta_k")
-        values: dict = {}
+        theta, values = params.theta_k, {}
         for s, bracket in self.values.items():  # in order of size
-            bracket = _settle(s, bracket, params.theta_k, values)
+            bracket = _settle(s, bracket, theta, values)
             if bracket is not None:
                 values[s] = bracket
         return ApproxComplex(params.alpha, params, SComplex(set(values)), values)
@@ -131,14 +133,39 @@ def _pair_radius(a: Cell, b: Cell) -> float:
     return 0.5 * a.side * math.sqrt(sum((abs(i - j) + 1) ** 2 for i, j in zip(a.index, b.index)))
 
 
+def _centre_radius(t: tuple) -> float:
+    """meb radius r_c of the centres of three or more cells of one height.
+
+    Three centres are solved in closed form from the exact integer
+    squared sides x <= y <= z of their index triangle: the ball on the
+    longest side, r_c/s = sqrt(z)/2, when z >= x + y (right, obtuse or
+    collinear), else the circumball, r_c/s = sqrt(xyz / 16A^2) with
+    16A^2 = 2(xy + yz + zx) - x^2 - y^2 - z^2 (Heron).  More centres go
+    through the pivot loop."""
+    side = t[0].side
+    if len(t) == 3:
+        ab = bc = ac = 0
+        for i, j, k in zip(*(cell.index for cell in t)):
+            ab += (i - j) * (i - j)
+            bc += (j - k) * (j - k)
+            ac += (i - k) * (i - k)
+        x, y, z = sorted((ab, bc, ac))
+        if z >= x + y:
+            return side * 0.5 * math.sqrt(z)
+        return side * math.sqrt(x * y * z / (2 * (x * y + y * z + z * x) - x * x - y * y - z * z))
+    return _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
+
+
 def _bracket(t: tuple, facets: list) -> tuple[float, float]:
     """[lo, hi] holding the value of a tuple of cells of one height, given
-    its facets' brackets (see `build_A`)."""
+    its facets' brackets (see `build_A`): a pair's radius in closed form,
+    else the centres' radius r_c, closed form for three cells, widened by
+    the cells' in- and circumradii."""
     if len(t) == 2:
         radius = _pair_radius(*t)
         return radius, radius
     side = t[0].side
-    r_c = _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
+    r_c = _centre_radius(t)
     lo = max(r_c + 0.5 * side, *(f[0] for f in facets)) * _LO
     hi = max(r_c + 0.5 * side * math.sqrt(t[0].d), *(f[1] for f in facets)) * _HI
     return lo, hi
@@ -173,13 +200,14 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
     values, so it lies in D at every theta_k >= its value.  Each simplex
     keeps a bracket [lo, hi] of its value instead (`_bracket`):
     - two cells of side s = 2^h: the radius in closed form, lo = hi;
-    - more cells, whose centres have meb radius r_c: the union holds each
-      cell's inscribed ball and lies within their circumscribed balls, so
-      its radius is in [r_c + s/2, r_c + s sqrt(d)/2].  Raised to the
-      facets' brackets and moved out by 1e-9 relative, more than the
-      pivot loop's 1e-10 slack, these ends hold the value that
-      `meb_of_cells` gives, so a theta outside [lo, hi) decides the
-      tuple as that value would.
+    - more cells, whose centres have meb radius r_c (`_centre_radius`:
+      closed form for three cells, the pivot loop for more): the union
+      holds each cell's inscribed ball and lies within their
+      circumscribed balls, so its radius is in
+      [r_c + s/2, r_c + s sqrt(d)/2].  Raised to the facets' brackets
+      and moved out by 1e-9 relative, more than the pivot loop's 1e-10
+      slack, these ends hold the value that `meb_of_cells` gives, so a
+      theta outside [lo, hi) decides the tuple as that value would.
     A tuple's union is solved (`meb_of_cells`) only at a theta in [lo, hi)
     (`_settle`).  A bracket is about s (sqrt(d) - 1)/2 < eps theta/6 wide
     for every theta of height h, under the scale step eps theta/2, so it

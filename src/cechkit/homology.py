@@ -7,7 +7,10 @@ reads only the (pmax+1)-skeleton, so that is all it reduces, in one
 facet pass that also checks every entry.  A tower of complexes connected
 by simplicial vertex maps is first turned into a filtration with the
 same diagram, by coning off each vertex collapse (``tower_diagram``);
-the same walk checks each map on the complex it relabels.
+the same walk checks each map on the complex it relabels.  A step whose
+map fixes every vertex (an inclusion, as between scales of one grid
+height) collapses nothing, so the walk relabels only what it adds, and
+a diagram up to pmax takes only the filtration's (pmax+1)-skeleton.
 """
 
 from __future__ import annotations
@@ -195,31 +198,45 @@ class Tower:
             raise InvalidInput("scales must be strictly increasing")
 
 
-def _coned_filtration(tower: Tower) -> dict:
-    """Simplex -> value of a filtration with the persistence of `tower`.
+def _coned_filtration(tower: Tower, pmax: int) -> dict:
+    """Simplex -> value of a filtration with the persistence of `tower`
+    in every dimension <= pmax: the simplices of dimension <= pmax+1.
 
-    Each map is split into elementary collapses u -> v, one per extra
+    A step whose map fixes every vertex is an inclusion: nothing
+    collapses, the map is simplicial iff the previous complex lies in
+    the next, and only the simplices that step adds are relabelled.  Any
+    other map is split into elementary collapses u -> v, one per extra
     vertex of a fibre, and each collapse is simulated by adding the cone
     v * cl(St u) at the map's target scale before u is renamed to v in
     the current complex (Dey, Fan and Wang 2014); the vertex with the
     larger star survives, which keeps the filtration near-linear in the
-    tower's size (Kerber and Schreiber 2019).  The simplices of the
-    target complex outside the image then enter at the same scale.
-    Vertices are relabelled to integers: an image vertex takes the id of
-    its fibre's survivor and a new vertex a fresh id, so no later vertex
-    reuses the id of a removed one.  The collapsed complex is the map's
-    image, so the map is simplicial iff it lies in the relabelled target.
+    tower's size (Kerber and Schreiber 2019).  Only faces of dimension
+    <= pmax are coned, since a cone over a k-face is a (k+1)-simplex.
+    The simplices of the target complex outside the image then enter at
+    the same scale.  Vertices are relabelled to integers: an image
+    vertex takes the id of its fibre's survivor and a new vertex a fresh
+    id, so no later vertex reuses the id of a removed one.  The current
+    complex keeps every simplex, whatever pmax: the collapsed complex is
+    the map's image, so the map is simplicial iff it lies in the
+    relabelled target.
     """
     value: dict = {}
-    ids: dict = {}
+    ids: dict = {}  # vertex of the last complex walked -> its integer id
     fresh = itertools.count()
-    current: set = set()
+    current: set = set()  # the last complex walked, relabelled
+    before: set = set()  # the last complex walked, as given
     for i, K in enumerate(tower.complexes):
         scale = 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
-        if i > 0:
+        mapping = tower.maps[i - 1].mapping if i > 0 else {}
+        inclusion = all(mapping[x] == x for x in ids)
+        if inclusion:
+            if not before <= K.simplices:
+                raise InvalidInput("map is not simplicial")
+            added = K.simplices - before
+        else:
             fibres: dict = {}
-            for x in verts:
-                fibres.setdefault(tower.maps[i - 1].mapping[x], []).append(ids[x])
+            for x in sorted(ids):
+                fibres.setdefault(mapping[x], []).append(ids[x])
             ids = {}
             for w, (v, *rest) in fibres.items():
                 for u in rest:
@@ -228,28 +245,33 @@ def _coned_filtration(tower: Tower) -> dict:
                     if len(star_u) > len(star_v):
                         u, v, star_u = v, u, star_v
                     for s in star_u:
-                        for k in range(1, len(s) + 1):
+                        for k in range(1, min(len(s), pmax + 1) + 1):
                             for face in itertools.combinations(s, k):
                                 value.setdefault(tuple(sorted({*face, v})), scale)
                     current.difference_update(star_u)
                     current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
                 ids[w] = v
-        verts = K.vertices()
-        for x in verts:
-            if x not in ids:
-                ids[x] = next(fresh)
-        image, current = current, {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
-        if not image <= current:
-            raise InvalidInput("map is not simplicial")
-        for s in current:
-            value.setdefault(s, scale)
+            added = K.simplices
+        for x in sorted({x for s in added for x in s}.difference(ids)):
+            ids[x] = next(fresh)
+        new = {tuple(sorted(ids[x] for x in s)) for s in added}
+        if inclusion:
+            current |= new
+        else:
+            image, current = current, new
+            if not image <= current:
+                raise InvalidInput("map is not simplicial")
+        for s in new:
+            if len(s) <= pmax + 2:
+                value.setdefault(s, scale)
+        before = K.simplices
     return value
 
 
 def tower_diagram(tower: Tower, pmax: int) -> PersistenceDiagram:
     """Diagram of a tower in every dimension <= pmax, by column reduction
-    of its coned filtration."""
-    return persist_filtration(Filtration(list(_coned_filtration(tower).items())), pmax)
+    of its coned filtration up to dimension pmax+1."""
+    return persist_filtration(Filtration(list(_coned_filtration(tower, pmax).items())), pmax)
 
 
 def filtration_tower(filt) -> Tower:

@@ -11,10 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInput
-from .geometry import Ball, expand, meb
 from .quadtree import Cell, Quadtree
 
 
@@ -131,34 +128,3 @@ def build_wspd(qt: Quadtree, eps: float) -> WSPD:
 
     pairs = [out[k] for k in sorted(out)]
     return WSPD(eps, pairs)
-
-
-def _expansion_sample_check(cells, factor: float, trials: int, seed: int) -> bool:
-    """Sample balls containing at least one (geometric) point of every
-    cell and check that their `factor`-expansion contains every cell
-    corner.  Sample points are random convex corner combinations, so
-    they always lie inside their cell.
-    """
-    rng = np.random.RandomState(seed)
-    corner_sets = [c.corners() for c in cells]
-    all_corners = np.concatenate(corner_sets, axis=0)
-
-    for _ in range(trials):
-        anchors = []
-        for corners in corner_sets:
-            w = rng.dirichlet(np.ones(corners.shape[0]))
-            anchors.append(w @ corners)
-        base = meb(anchors).ball
-        grow = rng.uniform(0.0, 1.0)
-        shift = rng.standard_normal(len(base.center))
-        norm = float(np.linalg.norm(shift))
-        if norm > 0 and base.radius > 0:
-            shift *= rng.uniform(0.0, 1.0) * base.radius * grow / norm
-        else:
-            shift[:] = 0.0
-        ball = Ball(tuple(c + s for c, s in zip(base.center, shift)), base.radius * (1.0 + grow))
-        big = expand(ball, factor)
-        for corner in all_corners:
-            if not big.contains(corner):
-                return False
-    return True

@@ -13,10 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidInput
-from .geometry import Ball, MebResult, meb_of_cells
+from .geometry import Ball, MebResult, expand, meb, meb_of_cells
 from .quadtree import Cell, Quadtree, dyadic_height
-from .wspd import _expansion_sample_check, build_wspd
+from .wspd import build_wspd
 
 
 def grid_height_for(r: float, eps: float, d: int) -> int:
@@ -122,6 +124,37 @@ def heights_bounded(dec: WSSD, d: int) -> bool:
         for t in dec.all_tuples()
         for c in t.cells
     )
+
+
+def _expansion_sample_check(cells, factor: float, trials: int, seed: int) -> bool:
+    """Sample balls containing at least one (geometric) point of every
+    cell and check that their `factor`-expansion contains every cell
+    corner.  Sample points are random convex corner combinations, so
+    they always lie inside their cell.
+    """
+    rng = np.random.RandomState(seed)
+    corner_sets = [c.corners() for c in cells]
+    all_corners = np.concatenate(corner_sets, axis=0)
+
+    for _ in range(trials):
+        anchors = []
+        for corners in corner_sets:
+            w = rng.dirichlet(np.ones(corners.shape[0]))
+            anchors.append(w @ corners)
+        base = meb(anchors).ball
+        grow = rng.uniform(0.0, 1.0)
+        shift = rng.standard_normal(len(base.center))
+        norm = float(np.linalg.norm(shift))
+        if norm > 0 and base.radius > 0:
+            shift *= rng.uniform(0.0, 1.0) * base.radius * grow / norm
+        else:
+            shift[:] = 0.0
+        ball = Ball(tuple(c + s for c, s in zip(base.center, shift)), base.radius * (1.0 + grow))
+        big = expand(ball, factor)
+        for corner in all_corners:
+            if not big.contains(corner):
+                return False
+    return True
 
 
 def wst_ball_property_check(t: WST, eps: float, trials: int, seed: int = 0) -> bool:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cechkit.approx as approx_module
@@ -398,6 +398,77 @@ def test_build_tower_solves_only_tuples_whose_bracket_holds_a_scale(monkeypatch)
             assert any(p.h_alpha == t[0].height and lo <= p.theta_k < hi for p in params), t
         total += len(solved)
     assert total > 0
+
+
+@st.composite
+def lattice_triples(draw):
+    """Three distinct cells of one height in d = 2..5, with a tag: index
+    triangles that are collinear, right-angled at the first cell (integer
+    offsets u, w with u.w == 0), obtuse there (u.w < 0), or any."""
+    d = draw(st.integers(2, 5))
+    h = draw(st.integers(-40, 10))
+    coords = st.tuples(*[st.integers(-6, 6)] * d).filter(any)
+    base = draw(st.tuples(*[st.integers(-64, 64)] * d))
+    kind = draw(st.sampled_from(["collinear", "right", "obtuse", "any"]))
+    u = draw(coords)
+    if kind == "collinear":
+        k1, k2 = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=2, max_size=2, unique=True))
+        offsets = [(0,) * d, tuple(k1 * x for x in u), tuple(k2 * x for x in u)]
+    elif kind == "right":
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        if u[i] == u[j] == 0:
+            u = tuple(1 if m == i else x for m, x in enumerate(u))
+        w = [0] * d
+        w[i], w[j] = u[j], -u[i]
+        offsets = [(0,) * d, u, tuple(w)]
+    else:
+        w = draw(coords.filter(lambda w: w != u))
+        if kind == "obtuse" and sum(a * b for a, b in zip(u, w)) >= 0:
+            w = tuple(-x for x in w)
+        offsets = [(0,) * d, u, w]
+    if kind == "obtuse":
+        assume(sum(a * b for a, b in zip(u, w)) < 0 and len(set(offsets)) == 3)
+    cells = tuple(Cell(h, tuple(b + o for b, o in zip(base, off))) for off in offsets)
+    return kind, cells
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(lattice_triples())
+def test_three_cell_centre_radius_is_the_meb_of_the_centres(case):
+    # The closed form reads the exact integer squared sides x <= y <= z of
+    # the index triangle; right angles (z == x + y) take the diametral ball.
+    kind, t = case
+    a, b, c = (np.array(cell.index) for cell in t)
+    x, y, z = sorted(int(v @ v) for v in (a - b, b - c, a - c))
+    if kind == "right":
+        assert z == x + y
+    elif kind != "any":
+        assert z > x + y
+    side = t[0].side
+    r_c = approx_module._centre_radius(t)
+    assert r_c == pytest.approx(meb([(v + 0.5) * side for v in (a, b, c)]).radius, rel=1e-12)
+
+
+def test_tower2d_brackets_solve_no_centre_ball(monkeypatch):
+    # tower2d is planar with kmax 2, so every tuple has at most three cells
+    # and every centre radius is the closed form, not the pivot loop.
+    calls = []
+    pivot = approx_module._pivot
+
+    def pivot_spy(rows):
+        calls.append(rows)
+        return pivot(rows)
+
+    monkeypatch.setattr(approx_module, "_pivot", pivot_spy)
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["tower2d"]
+    sizes = []
+    for index in range(len(wl.slots) * 8):
+        args, _ = wl.inputs(1, index)
+        tower = W.op_tower(**args)[1]
+        sizes.append(max(len(s) for K in tower.complexes for s in K.simplices))
+    assert max(sizes) == 3
+    assert calls == []
 
 
 def test_cut_needs_the_same_height_and_no_larger_theta():

@@ -242,7 +242,7 @@ def test_tower_collapse_keeps_the_larger_star():
     K = closure([(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
     L = closure([(1, 5), (2, 5), (3, 5), (4, 5)])
     t = Tower([K, L], [VertexMap(K, L, {v: 5 if v == 0 else v for v in range(6)})], [1.0, 2.0])
-    assert len(_coned_filtration(t)) == len(K.simplices)
+    assert len(_coned_filtration(t, 1)) == len(K.simplices)
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
 
@@ -265,6 +265,16 @@ def test_tower_checks_each_map_on_the_complex_it_maps():
     for p in (0, 1):
         with pytest.raises(InvalidInput, match="not simplicial"):
             tower_diagram(t, p)
+
+
+def test_tower_rejects_an_inclusion_that_drops_a_triangle():
+    # Every vertex is fixed, so the step is an inclusion; the triangle it
+    # loses is above what a pmax 0 diagram reads, and is still checked.
+    K = closure([(0, 1, 2)])
+    L = SComplex(K.simplices - {(0, 1, 2)})
+    t = Tower([K, L], [VertexMap(K, L, {0: 0, 1: 1, 2: 2})], [1.0, 2.0])
+    with pytest.raises(InvalidInput, match="not simplicial"):
+        tower_diagram(t, 0)
 
 
 def test_tower_rejects_a_merge_onto_a_missing_edge():
@@ -588,22 +598,27 @@ def _random_complex(rng, labels, probs=(0.45, 0.12, 0.04)):
     return closure(simplices)
 
 
-def random_vertex_map_tower(rng, births_at_zero):
+def random_vertex_map_tower(rng, births_at_zero, inclusions=False):
     """Tower of 2-5 complexes on at most 8 vertices whose maps send each
     complex onto fewer vertices (fibres of one to several vertices) and
     whose next complex adds random simplices and fresh vertices to the
-    image."""
+    image.  With `inclusions`, about half the steps instead fix every
+    vertex and add fresh vertices labelled below the old ones."""
     labels = list(range(int(rng.integers(3, 9))))
     K = _random_complex(rng, labels)
     complexes, maps, scales = [K], [], [float(rng.uniform(0.1, 1.0))]
     for step in range(int(rng.integers(1, 5))):
         verts = K.vertices()
         base = 100 * (step + 1)
-        targets = [base + j for j in range(int(rng.integers(1, len(verts) + 1)))]
-        mapping = {x: targets[int(rng.integers(len(targets)))] for x in verts}
+        if inclusions and rng.random() < 0.5:
+            mapping = {x: x for x in verts}
+            fresh = [-base - j for j in range(int(rng.integers(0, 3)))]
+        else:
+            targets = [base + j for j in range(int(rng.integers(1, len(verts) + 1)))]
+            mapping = {x: targets[int(rng.integers(len(targets)))] for x in verts}
+            fresh = [base + 50 + j for j in range(int(rng.integers(0, 3)))]
         image = {tuple(sorted({mapping[x] for x in s})) for s in K.simplices}
-        fresh = [base + 50 + j for j in range(int(rng.integers(0, 3)))]
-        extra = _random_complex(rng, sorted(set(mapping.values())) + fresh, (0.25, 0.1, 0.03))
+        extra = _random_complex(rng, sorted({*mapping.values(), *fresh}), (0.25, 0.1, 0.03))
         L = SComplex(image | extra.simplices)
         maps.append(VertexMap(K, L, mapping))
         complexes.append(L)
@@ -722,14 +737,18 @@ def oracle_towers():
         yield filtration_tower(build(pts, 2 + trial % 2))
     for trial in range(60):
         yield random_vertex_map_tower(rng, births_at_zero=trial % 2 == 0)
+    for trial in range(30):
+        yield random_vertex_map_tower(rng, births_at_zero=trial % 2 == 0, inclusions=True)
 
 
 def test_tower_walk_and_readout_match_their_two_pass_versions():
+    # The walk at pmax emits the oracle's simplices of dimension <= pmax+1.
     for tower in oracle_towers():
-        coned = _coned_filtration(tower)
-        assert sorted(coned.items()) == sorted(ref_coned_filtration(tower).items())
-        filt = Filtration(list(coned.items()))
+        ref = ref_coned_filtration(tower)
+        filt = Filtration(list(ref.items()))
         for pmax in (0, 1, 2):
+            coned = _coned_filtration(tower, pmax)
+            assert coned == {s: v for s, v in ref.items() if len(s) <= pmax + 2}, pmax
             assert tower_diagram(tower, pmax).points == ref_persist(filt, pmax).points, pmax
 
 

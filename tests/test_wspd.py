@@ -7,7 +7,8 @@ import pytest
 
 from cechkit.errors import InvalidInput
 from cechkit.quadtree import Cell, build, normalize
-from cechkit.wspd import _expansion_sample_check, build_wspd, is_well_separated
+from cechkit.wspd import build_wspd, is_well_separated
+from cechkit.wssd import _expansion_sample_check
 
 from conftest import random_cloud
 
