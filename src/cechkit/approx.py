@@ -127,10 +127,15 @@ def _grid_params(qt: Quadtree, alpha: float, eps: float) -> ScaleParams:
     return params
 
 
-def _pair_radius(a: Cell, b: Cell) -> float:
-    """meb radius of two cells of one height: their union is centrally
-    symmetric, so its ball is the diametral ball of two opposite corners."""
-    return 0.5 * a.side * math.sqrt(sum((abs(i - j) + 1) ** 2 for i, j in zip(a.index, b.index)))
+def _pair_radius(a: Cell, b: Cell, half: float) -> float:
+    """meb radius of two cells of one height and half side `half`: their
+    union is centrally symmetric, so its ball is the diametral ball of two
+    opposite corners."""
+    q = 0
+    for i, j in zip(a.index, b.index):
+        g = abs(i - j) + 1
+        q += g * g
+    return half * math.sqrt(q)
 
 
 def _centre_radius(t: tuple) -> float:
@@ -145,7 +150,8 @@ def _centre_radius(t: tuple) -> float:
     side = t[0].side
     if len(t) == 3:
         ab = bc = ac = 0
-        for i, j, k in zip(*(cell.index for cell in t)):
+        a, b, c = t
+        for i, j, k in zip(a.index, b.index, c.index):
             ab += (i - j) * (i - j)
             bc += (j - k) * (j - k)
             ac += (i - k) * (i - k)
@@ -156,19 +162,23 @@ def _centre_radius(t: tuple) -> float:
     return _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
 
 
-def _bracket(t: tuple, facets: list) -> tuple[float, float]:
+def _bracket(t: tuple, facets: list, half: float, half_diag: float) -> tuple[float, float]:
     """[lo, hi] holding the value of a tuple of cells of one height, given
     its facets' brackets (see `build_A`): a pair's radius in closed form,
     else the centres' radius r_c, closed form for three cells, widened by
-    the cells' in- and circumradii."""
+    the cells' in- and circumradii.  half = s/2 and half_diag = s sqrt(d)/2
+    for the cells' side s, fixed for a whole height."""
     if len(t) == 2:
-        radius = _pair_radius(*t)
+        radius = _pair_radius(t[0], t[1], half)
         return radius, radius
-    side = t[0].side
     r_c = _centre_radius(t)
-    lo = max(r_c + 0.5 * side, *(f[0] for f in facets)) * _LO
-    hi = max(r_c + 0.5 * side * math.sqrt(t[0].d), *(f[1] for f in facets)) * _HI
-    return lo, hi
+    lo, hi = r_c + half, r_c + half_diag
+    for f_lo, f_hi in facets:
+        if f_lo > lo:
+            lo = f_lo
+        if f_hi > hi:
+            hi = f_hi
+    return lo * _LO, hi * _HI
 
 
 def _settle(t: tuple, bracket: tuple, theta: float, values: dict) -> tuple[float, float] | None:
@@ -213,7 +223,8 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
     for every theta of height h, under the scale step eps theta/2, so it
     holds at most one of them: `build_A` and the cuts of its complex
     solve each tuple at most once.
-    Only kmax is read from the WSSD, which must be built at eps/12.
+    Only epsilon and kmax are read from the WSSD, which must be built at
+    eps/12, so its tuples are never built here (see `build_wssd`).
     """
     if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
         raise InvalidInput("WSSD must be built with parameter eps/12")
@@ -229,6 +240,8 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
         for c in group:
             later[c] = sorted(x for x in near if x > c)
 
+    half = 0.5 * 2.0**h
+    half_diag = half * math.sqrt(qt.d)
     values = {(c,): (0.0, 0.0) for c in later}
     layer = list(values)
     for _ in range(wssd.kmax):
@@ -240,7 +253,7 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
                     facets = [values[f] for f in itertools.combinations(t, len(s))]
                 except KeyError:  # a facet is not in
                     continue
-                bracket = _settle(t, _bracket(t, facets), theta_k, values)
+                bracket = _settle(t, _bracket(t, facets, half, half_diag), theta_k, values)
                 if bracket is not None:
                     values[t] = bracket
                     grown.append(t)

@@ -5,6 +5,10 @@ extended by every nonempty grid cell, at the height matched to
 rad(gamma), that intersects the doubled enclosing ball of gamma's cell
 union.  Tuples are deduplicated on their sorted cell key because the
 recursion can reach the same tuple through different parents.
+
+`build_wssd` checks its arguments at once but builds Gamma_1 ... Gamma_kmax
+on the first read of the decomposition's tuples, so a caller that reads
+only `epsilon` and `kmax` (the grid tower) never runs the WSPD.
 """
 
 from __future__ import annotations
@@ -50,17 +54,26 @@ class WST:
         return tuple(sorted(self.cells))
 
 
-@dataclass
 class WSSD:
-    epsilon: float
-    gammas: list[list[WST]]  # gammas[k-1] holds the (k+1)-tuples of Gamma_k
+    """Gamma_1 ... Gamma_kmax at parameter epsilon; gammas[k-1] holds the
+    (k+1)-tuples of Gamma_k.  One from `build_wssd` builds them on the
+    first read of `gammas` (or `gamma`, `all_tuples`) and keeps them."""
+
+    def __init__(self, epsilon: float, gammas: list[list[WST]]):
+        self.epsilon = epsilon
+        self.kmax = len(gammas)
+        self._gammas = gammas
+        self._qt: Quadtree | None = None  # set while Gamma is still to be built
+
+    @property
+    def gammas(self) -> list[list[WST]]:
+        if self._qt is not None:
+            self._gammas = _build_gammas(self._qt, self.epsilon, self.kmax)
+            self._qt = None
+        return self._gammas
 
     def gamma(self, k: int) -> list[WST]:
         return self.gammas[k - 1]
-
-    @property
-    def kmax(self) -> int:
-        return len(self.gammas)
 
     def all_tuples(self):
         for g in self.gammas:
@@ -68,12 +81,22 @@ class WSSD:
 
 
 def build_wssd(qt: Quadtree, eps: float, kmax: int) -> WSSD:
-    """Recursive construction of Gamma_1 ... Gamma_kmax."""
+    """The WSSD Gamma_1 ... Gamma_kmax of the cloud at parameter eps.
+
+    eps and kmax are checked here; the tuples are built on the first read
+    of Gamma, so an error of the WSPD (a grid height too fine for the
+    cloud) is raised there."""
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must be in (0,1), got {eps}")
     if not (1 <= kmax <= qt.d):
         raise InvalidInput(f"kmax must satisfy 1 <= kmax <= d={qt.d}, got {kmax}")
+    dec = WSSD(eps, [[] for _ in range(kmax)])
+    dec._qt = qt
+    return dec
 
+
+def _build_gammas(qt: Quadtree, eps: float, kmax: int) -> list[list[WST]]:
+    """Recursive construction of Gamma_1 ... Gamma_kmax."""
     base = build_wspd(qt, eps / 2.0)
     gamma1 = [WST((p.q, p.q2)) for p in base.pairs]
     gammas = [gamma1]
@@ -90,7 +113,7 @@ def build_wssd(qt: Quadtree, eps: float, kmax: int) -> WSSD:
                 out.setdefault(t.key(), t)
         gammas.append([out[k] for k in sorted(out)])
 
-    return WSSD(eps, gammas)
+    return gammas
 
 
 def covered_simplices(qt: Quadtree, tuples, k: int) -> set[tuple[int, ...]]:

@@ -354,11 +354,13 @@ def test_cell_tuple_brackets_hold_the_union_radius(t):
     # A pair's closed form is meb_of_cells's radius to the bit; a larger
     # tuple's bracket, built from its faces' brackets, holds that radius
     # and is no wider than s (sqrt(d) - 1)/2 plus its margins.
+    half = 0.5 * t[0].side
+    half_diag = half * math.sqrt(t[0].d)
     brackets = {(c,): (0.0, 0.0) for c in t}
     for size in range(2, len(t) + 1):
         for s in itertools.combinations(t, size):
             facets = [brackets[f] for f in itertools.combinations(s, size - 1)]
-            brackets[s] = approx_module._bracket(s, facets)
+            brackets[s] = approx_module._bracket(s, facets, half, half_diag)
     radius = meb_of_cells(t).radius
     lo, hi = brackets[t]
     if len(t) == 2:
@@ -469,6 +471,54 @@ def test_tower2d_brackets_solve_no_centre_ball(monkeypatch):
         sizes.append(max(len(s) for K in tower.complexes for s in K.simplices))
     assert max(sizes) == 3
     assert calls == []
+
+
+def _bracket_oracle(t, facets, half, half_diag):
+    """`approx._bracket` as it was before the per-height half side was
+    hoisted out of it: side, half side and sqrt(d) read off the tuple per
+    call, facet brackets unpacked through generators."""
+    if len(t) == 2:
+        a, b = t
+        radius = 0.5 * a.side * math.sqrt(sum((abs(i - j) + 1) ** 2 for i, j in zip(a.index, b.index)))
+        return radius, radius
+    side = t[0].side
+    r_c = approx_module._centre_radius(t)
+    lo = max(r_c + 0.5 * side, *(f[0] for f in facets)) * (1.0 - 1e-9)
+    hi = max(r_c + 0.5 * side * math.sqrt(t[0].d), *(f[1] for f in facets)) * (1.0 + 1e-9)
+    return lo, hi
+
+
+def _tower_values(qt, dec, eps):
+    """ApproxComplex.values at every scale of the tower, built as
+    `build_tower` builds them: one `build_A` per height, cut below."""
+    lo, hi = tower_scale_range(qt, eps)
+    params = [approx_module._grid_params(qt, theta_value(eps, ell), eps) for ell in range(lo, hi + 1)]
+    out = []
+    for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
+        *below, last = run
+        top = build_A(qt, dec, last.alpha, eps)
+        out += [top.cut(p).values for p in below] + [top.values]
+    return out
+
+
+def test_tower2d_brackets_equal_the_unhoisted_bracket(monkeypatch):
+    # The per-height half side and facet loop change no bracket by a bit:
+    # every simplex's (lo, hi) at every scale of the tower2d seeds equals
+    # the one the oracle gives.
+    wl = bench_module("workloads").WORKLOADS["tower2d"]
+    towers = []
+    for seed in range(4):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            towers.append(make(args["points"], args["eps"], 2) + (args["eps"],))
+    got = [_tower_values(qt, dec, eps) for qt, dec, eps in towers]
+    monkeypatch.setattr(approx_module, "_bracket", _bracket_oracle)
+    want = [_tower_values(qt, dec, eps) for qt, dec, eps in towers]
+    assert any(len(s) == 3 for tower in got for values in tower for s in values)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            assert a == b
 
 
 def test_cut_needs_the_same_height_and_no_larger_theta():

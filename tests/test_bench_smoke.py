@@ -5,6 +5,8 @@ here, so a renamed or removed library name they use fails tier-1 rather
 than a benchmark run.
 """
 
+import sys
+
 import pytest
 
 from cechkit import homology
@@ -20,6 +22,15 @@ def test_one_cycle_passes_output_checks(name):
         args, expect = wl.inputs(0, index)
         out = wl.op(**args)
         assert wl.check_output(0, index, args, expect, out).ok, (name, index)
+
+
+@pytest.mark.parametrize("name", ["tower2d", "wssd_scale", "completion_hd", "compare"])
+def test_self_check_passes_good_output_and_rejects_planted_bad(monkeypatch, name):
+    # selfcheck imports bench/workloads.py as `workloads`, the name it has
+    # when bench/ is the script directory.
+    monkeypatch.setitem(sys.modules, "workloads", bench_module("workloads"))
+    ok, what = bench_module("selfcheck").self_check(name)
+    assert ok, what
 
 
 def test_tracer_installs_on_every_target_and_uninstalls():

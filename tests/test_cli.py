@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cechkit import cli, complexes, coreset, diagram, homology
+from cechkit import cli, complexes, coreset, diagram, homology, wssd
 from cechkit.cli import load_points, main
 from cechkit.errors import ParseError
 
@@ -115,6 +115,31 @@ def test_approx_triangle(capsys, triangle_file):
     assert rep["scales"] == sorted(rep["scales"])
     h0 = next(b["points"] for b in rep["diagram"] if b["p"] == 0)
     assert [pt for pt in h0 if pt[1] == "inf"] == [[0.0, "inf"]]
+
+
+def test_approx_builds_no_wspd(capsys, monkeypatch, tmp_path):
+    # The tower reads only the WSSD's eps and kmax, so approx reports the
+    # same with a WSPD that cannot be built.
+    path = tmp_path / "cloud.txt"
+    np.savetxt(path, random_cloud(np.random.default_rng(49), 9, 2))
+    argv = ["approx", str(path), "--eps", "0.5", "--pmax", "1"]
+    code, want = run(capsys, argv)
+    assert code == 0
+
+    def no_wspd(*args, **kwargs):
+        raise AssertionError("approx built a WSPD")
+
+    monkeypatch.setattr(wssd, "build_wspd", no_wspd)
+    assert run(capsys, argv) == (0, want)
+
+
+@pytest.mark.parametrize("command", ["wssd", "validate"])
+def test_wspd_grid_too_fine_exits_3_when_gamma_is_read(capsys, triangle_file, command):
+    # build_wssd leaves the WSPD to the first read of Gamma; its error
+    # still ends the command with exit 3, naming the WSPD's eps.
+    assert main([command, triangle_file, "--eps", "1e-320"]) == 3
+    err = capsys.readouterr().err
+    assert "WSPD eps=5e-321 is too small" in err and "too fine" in err
 
 
 def test_approx_lone_ell_flag_replaces_its_own_end(capsys, triangle_file):

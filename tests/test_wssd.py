@@ -10,8 +10,9 @@ import pytest
 from cechkit import wssd
 from cechkit.diagram import perfect_matching
 from cechkit.errors import InvalidInput
-from cechkit.geometry import meb
+from cechkit.geometry import Ball, meb
 from cechkit.quadtree import Cell, build, normalize
+from cechkit.wspd import build_wspd
 from cechkit.wssd import (
     WSSD,
     WST,
@@ -128,6 +129,64 @@ def test_build_wssd_validation():
         build_wssd(qt, 0.5, 3)  # kmax > d
     with pytest.raises(InvalidInput):
         build_wssd(qt, 1.5, 2)
+
+
+def eager_gammas(qt, eps, kmax):
+    """Gamma_1 ... Gamma_kmax built at once, as `build_wssd` built them
+    before it deferred the build to the first read (oracle)."""
+    base = build_wspd(qt, eps / 2.0)
+    gammas = [[WST((p.q, p.q2)) for p in base.pairs]]
+    for _k in range(2, kmax + 1):
+        out = {}
+        for g in gammas[-1]:
+            res = g.meb()
+            r = res.radius
+            h = grid_height_for(r, eps, qt.d)
+            double = Ball(res.center, 2.0 * r)
+            for q2 in qt.nonempty_cells_intersecting(double, h):
+                t = WST(g.cells + (q2,))
+                out.setdefault(t.key(), t)
+        gammas.append([out[k] for k in sorted(out)])
+    return gammas
+
+
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 8)])
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.5 / 12])
+def test_gamma_keys_match_the_eager_build(d, n, eps):
+    rng = np.random.default_rng([47, d, int(eps * 1200)])
+    for _ in range(2):
+        qt = build(normalize(random_cloud(rng, n, d)))
+        want = eager_gammas(qt, eps, d)
+        dec = build_wssd(qt, eps, d)
+        assert dec.kmax == d
+        for k in range(1, d + 1):
+            assert sorted(t.key() for t in dec.gamma(k)) == sorted(t.key() for t in want[k - 1])
+
+
+def test_gamma_is_built_on_first_read_and_kept(monkeypatch):
+    calls = []
+
+    def wspd_spy(qt, eps):
+        calls.append(eps)
+        return build_wspd(qt, eps)
+
+    monkeypatch.setattr(wssd, "build_wspd", wspd_spy)
+    qt = build(normalize(random_cloud(np.random.default_rng(48), 8, 2)))
+    dec = build_wssd(qt, 0.25, 2)
+    assert (dec.epsilon, dec.kmax, calls) == (0.25, 2, [])
+    first = dec.gamma(2)
+    assert calls == [0.125]
+    assert dec.gamma(2) is first and list(dec.all_tuples()) == dec.gammas[0] + first
+    assert calls == [0.125]
+
+
+def test_wspd_error_is_raised_on_first_read():
+    # eps and kmax are checked at once; a WSPD grid too fine for the
+    # cloud shows only when Gamma is built.
+    qt = build(normalize(TRIANGLE))
+    dec = build_wssd(qt, 1e-320, 2)
+    with pytest.raises(InvalidInput, match="eps=5e-321 is too small: grid height .* is too fine"):
+        dec.gamma(1)
 
 
 def test_height_bound_exact():
