@@ -2,7 +2,10 @@
 
 Scales are discretized into intervals [theta_l, theta_{l+1}) with
 theta_l = (1 + eps/2)^l; the complex is constant on each interval, so a
-tower evaluated at the theta values captures the whole module.
+tower evaluated at the theta values captures the whole module.  The
+complexes at the scales of one grid height are nested, so the tower
+holds one filtration per height, and the connecting map g joins two
+heights only.
 
 The complex at scale alpha is D_alpha (see `build_A`).  It equals the
 paper's projection of an eps/12-WSSD to the grid on every cloud checked,
@@ -23,13 +26,14 @@ index differences; only four or more cells run the meb pivot loop.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import cech_filtration
+from .complexes import Filtration, cech_filtration
 from .errors import InvalidInput
 from .geometry import _pivot, meb, meb_of_cells, min_pairwise_distance
 from .homology import SComplex, Tower, VertexMap
@@ -104,18 +108,6 @@ class ApproxComplex:
     def h(self) -> int:
         return self.params.h_alpha
 
-    def cut(self, params: ScaleParams) -> "ApproxComplex":
-        """The complex at a scale of the same height and no larger theta_k:
-        each simplex settled at its theta_k (see `build_A`), faces first."""
-        if params.h_alpha != self.h or params.theta_k > self.params.theta_k:
-            raise InvalidInput("a cut needs the same height and no larger theta_k")
-        theta, values = params.theta_k, {}
-        for s, bracket in self.values.items():  # in order of size
-            bracket = _settle(s, bracket, theta, values)
-            if bracket is not None:
-                values[s] = bracket
-        return ApproxComplex(params.alpha, params, SComplex(set(values)), values)
-
 
 def _grid_params(qt: Quadtree, alpha: float, eps: float) -> ScaleParams:
     """scale_params at alpha, on a grid whose cell indices stay finite."""
@@ -181,9 +173,9 @@ def _bracket(t: tuple, facets: list, half: float, half_diag: float) -> tuple[flo
     return lo * _LO, hi * _HI
 
 
-def _settle(t: tuple, bracket: tuple, theta: float, values: dict) -> tuple[float, float] | None:
-    """t's bracket if t is in D at theta, else None; `values` holds the
-    simplices below t already settled at theta.  A bracket decides alone
+def _settle(t: tuple, bracket: tuple, theta: float, facets: list) -> tuple[float, float] | None:
+    """t's bracket if t is in D at theta, else None; t's facets, whose
+    brackets are `facets`, must be in D at theta.  A bracket decides alone
     unless lo <= theta < hi; then t's union is solved, and the bracket
     becomes its radius raised to its facets' brackets."""
     lo, hi = bracket
@@ -191,9 +183,6 @@ def _settle(t: tuple, bracket: tuple, theta: float, values: dict) -> tuple[float
         return None
     if theta >= hi:
         return bracket
-    facets = [values.get(f) for f in itertools.combinations(t, len(t) - 1)]
-    if None in facets:
-        return None
     radius = meb_of_cells(t).radius
     if radius > theta:
         return None
@@ -221,8 +210,8 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
     A tuple's union is solved (`meb_of_cells`) only at a theta in [lo, hi)
     (`_settle`).  A bracket is about s (sqrt(d) - 1)/2 < eps theta/6 wide
     for every theta of height h, under the scale step eps theta/2, so it
-    holds at most one of them: `build_A` and the cuts of its complex
-    solve each tuple at most once.
+    holds at most one of them: `build_A` and `build_tower`, which reads
+    the brackets of its complex, solve each tuple at most once.
     Only epsilon and kmax are read from the WSSD, which must be built at
     eps/12, so its tuples are never built here (see `build_wssd`).
     """
@@ -253,7 +242,7 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
                     facets = [values[f] for f in itertools.combinations(t, len(s))]
                 except KeyError:  # a facet is not in
                     continue
-                bracket = _settle(t, _bracket(t, facets, half, half_diag), theta_k, values)
+                bracket = _settle(t, _bracket(t, facets, half, half_diag), theta_k, facets)
                 if bracket is not None:
                     values[t] = bracket
                     grown.append(t)
@@ -311,14 +300,36 @@ def tower_scale_range(qt: Quadtree, eps: float) -> tuple[int, int]:
     return ell_min, ell_max
 
 
+def _entry_scales(top: ApproxComplex, thetas: list[float]) -> dict:
+    """Simplex of `top` -> the first of `thetas`, the scales of its height
+    in ascending order, at which `_settle` admits it once its facets are
+    in.  D grows with theta inside one height, so that is where the
+    simplex enters; a bracket holds at most one of the scales, so each
+    union is solved at most once, and none at a scale `build_A` solved."""
+    first: dict = {}  # simplex -> index into thetas
+    for s, bracket in top.values.items():  # faces first
+        if len(s) == 1:
+            first[s] = 0
+            continue
+        facets = list(itertools.combinations(s, len(s) - 1))
+        j = bisect.bisect_left(thetas, bracket[0], max([first[f] for f in facets]))
+        brackets = [top.values[f] for f in facets]
+        while thetas[j] < bracket[1] and _settle(s, bracket, thetas[j], brackets) is None:
+            j += 1
+        first[s] = j
+    return {s: thetas[j] for s, j in first.items()}
+
+
 def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]) -> Tower:
     """Tower of approximation complexes at scales theta_l for l in ell_range.
 
     The heights h_alpha never decrease with l, so the scales of one height
-    form a run; D_alpha is enumerated once per run, at its largest scale,
-    and cut at the others.  Classes alive at the leftmost complex are
-    treated as born at scale 0 when that complex is vertices-only, since
-    the module is then constant on the whole interval (0, theta_{ell_min}].
+    form a run, over which D_alpha only grows.  Each run is one complex,
+    enumerated at its largest scale and valued at the scale each simplex
+    enters (`_entry_scales`); `map_g` links consecutive runs at the first
+    scale of the later one.  The first run's vertices enter at 0 when, one
+    per point, they alone are in at its first scale, since the module is
+    then constant on the whole interval (0, theta_{ell_min}].
     """
     ell_min, ell_max = ell_range
     if ell_max < ell_min:
@@ -331,22 +342,18 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
         )
     # theta is monotone in l, so an unrepresentable scale shows at an end.
     theta_value(eps, ell_min), theta_value(eps, ell_max)
-    scales = [theta_value(eps, ell) for ell in range(ell_min, ell_max + 1)]
     # In ascending order, so a grid too fine is named at its smallest l.
-    params = [_grid_params(qt, s, eps) for s in scales]
-    complexes = []
+    params = [_grid_params(qt, theta_value(eps, ell), eps) for ell in range(ell_min, ell_max + 1)]
+    tops, entries = [], []
     for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
-        *below, last = run
-        top = build_A(qt, wssd, last.alpha, eps)
-        complexes += [top.cut(p) for p in below] + [top]
-    maps = [
-        map_g(complexes[i], complexes[i + 1]) for i in range(len(complexes) - 1)
-    ]
-    left = complexes[0].complex
-    vertices_only = left.max_dim() <= 0 and len(left.vertices()) == qt.cloud.n
-    return Tower(
-        [a.complex for a in complexes],
-        maps,
-        scales,
-        births_at_zero=vertices_only,
-    )
+        run = list(run)
+        tops.append(build_A(qt, wssd, run[-1].alpha, eps))
+        entries.append(_entry_scales(tops[-1], [p.theta_k for p in run]))
+    first = entries[0]
+    vertices = [s for s in first if len(s) == 1]
+    if len(vertices) == qt.cloud.n and all(
+        v > params[0].theta_k for s, v in first.items() if len(s) > 1
+    ):
+        first.update(dict.fromkeys(vertices, 0.0))
+    maps = [map_g(a, b) for a, b in zip(tops, tops[1:])]
+    return Tower([Filtration(list(e.items())) for e in entries], maps)

@@ -19,11 +19,6 @@ import numpy as np
 from . import approx, complexes, coreset, diagram, homology, quadtree, wssd
 from .errors import CechkitError, InvalidInput, ParseError
 
-# Most filtration entries `cech`, `rips` and `completion` build: the reduction's
-# bitsets take about entries^2/16 bytes; `cech --pmax 1` on 64, 80 and 96 planar
-# points (43744, 85400 and 147536 entries) peaks at 167, 513 and 1437 MB resident.
-MAX_ENTRIES = 100_000
-
 
 def load_points(path: str) -> np.ndarray:
     rows = []
@@ -83,12 +78,12 @@ def _write_report(obj, out_path):
 
 def _check_entries(n: int, pmax: int):
     """Reject a filtration of every simplex up to dimension pmax+1 on n
-    points larger than MAX_ENTRIES, before any is built."""
+    points larger than the reduction takes, before any is built."""
     entries = sum(math.comb(n, k + 1) for k in range(min(pmax + 1, n - 1) + 1))
-    if entries > MAX_ENTRIES:
+    if entries > homology.MAX_ENTRIES:
         raise InvalidInput(
             f"{n} points at pmax={pmax} make {entries} filtration entries, "
-            f"above the limit of {MAX_ENTRIES}"
+            f"above the limit of {homology.MAX_ENTRIES}"
         )
 
 
@@ -163,7 +158,7 @@ def cmd_approx(args) -> dict:
         "command": "approx",
         "eps": args.eps,
         "ell_range": list(rng),
-        "scales": [unit(s) for s in tower.scales],
+        "scales": [unit(approx.theta_value(args.eps, ell)) for ell in range(rng[0], rng[1] + 1)],
         "diagram": dgm.to_json_obj(),
     }
 

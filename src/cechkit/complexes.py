@@ -38,6 +38,10 @@ class Filtration:
     def value_of(self) -> dict[tuple[int, ...], float]:
         return {s: v for s, v in self.entries}
 
+    @property
+    def simplices(self) -> set[tuple[int, ...]]:
+        return {s for s, _ in self.entries}
+
     def complex_at(self, alpha: float, tol: float = 0.0) -> set[tuple[int, ...]]:
         return {s for s, v in self.entries if v <= alpha + tol}
 

@@ -20,16 +20,20 @@ from .homology import INF, PersistenceDiagram
 _REL = 1e-12  # slack absorbing floating-point noise in ratio comparisons
 
 
-def _ratio_ok(a: float, b: float, c: float) -> bool:
-    """Is b within [a/c, a*c], multiplicatively, with 0 and inf handled?"""
+def _ratio(a: float, b: float) -> float:
+    """The factor between a and b, max(a/b, b/a): 1 when they are equal,
+    inf when they are not and one of them is 0 or inf."""
     if a == b:
-        return True
-    if a == INF or b == INF:
-        return False
-    if a == 0.0 or b == 0.0:
-        return False
-    r = a / b if a >= b else b / a
-    return r <= c * (1.0 + _REL)
+        return 1.0
+    if a in (0.0, INF) or b in (0.0, INF):
+        return INF
+    return a / b if a >= b else b / a
+
+
+def _ratio_ok(a: float, b: float, c: float) -> bool:
+    """Is b within [a/c, a*c], multiplicatively?"""
+    r = _ratio(a, b)
+    return r < INF and r <= c * (1.0 + _REL)
 
 
 def _compatible(p1, p2, c: float) -> bool:
@@ -132,11 +136,8 @@ def _candidates(pts1, pts2) -> list[float]:
             cands.add(math.sqrt(death / birth))
     for p1 in pts1:
         for p2 in pts2:
-            for a, b in ((p1[0], p2[0]), (p1[1], p2[1])):
-                if a == INF or b == INF or a == 0.0 or b == 0.0:
-                    continue
-                cands.add(a / b if a >= b else b / a)
-    return sorted(x for x in cands if x >= 1.0)
+            cands.update((_ratio(p1[0], p2[0]), _ratio(p1[1], p2[1])))
+    return sorted(x for x in cands if 1.0 <= x < INF)
 
 
 def bottleneck_log(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:

@@ -4,13 +4,12 @@ One engine, ``persist_filtration``: classical boundary-matrix column
 reduction of a filtration, columns stored as Python ints (bitsets), each
 pair read as soon as its column settles.  A diagram up to dimension pmax
 reads only the (pmax+1)-skeleton, so that is all it reduces, in one
-facet pass that also checks every entry.  A tower of complexes connected
-by simplicial vertex maps is first turned into a filtration with the
-same diagram, by coning off each vertex collapse (``tower_diagram``);
-the same walk checks each map on the complex it relabels.  A step whose
-map fixes every vertex (an inclusion, as between scales of one grid
-height) collapses nothing, so the walk relabels only what it adds, and
-a diagram up to pmax takes only the filtration's (pmax+1)-skeleton.
+facet pass that also checks every entry; above ``MAX_ENTRIES`` entries
+it refuses.  A tower is a sequence of filtrations, each giving every
+simplex of one complex the scale at which it enters, linked by
+simplicial vertex maps.  ``tower_diagram`` turns it into one filtration
+with the same diagram by coning off each vertex collapse of each map;
+the same walk checks each map on the complex it relabels.
 """
 
 from __future__ import annotations
@@ -23,6 +22,11 @@ from .complexes import Filtration
 from .errors import InvalidInput
 
 INF = math.inf
+
+# Most entries `persist_filtration` reduces: its bitset columns take about
+# entries^2/16 bytes; `cech --pmax 1` on 64, 80 and 96 planar points (43744,
+# 85400 and 147536 entries) peaks at 167, 513 and 1437 MB resident.
+MAX_ENTRIES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +49,6 @@ class SComplex:
 
     def vertices(self) -> list:
         return sorted({v for s in self.simplices for v in s})
-
-    def max_dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
 
 
 @dataclass
@@ -117,17 +118,21 @@ class PersistenceDiagram:
 
     @staticmethod
     def from_json_obj(obj) -> "PersistenceDiagram":
-        """The inverse of `to_json_obj`; a NaN coordinate, a non-finite
-        birth or a death before its birth raises ValueError."""
+        """The inverse of `to_json_obj`; a dimension that is not an integer
+        >= 0, a NaN coordinate, a negative or non-finite birth or a death
+        before its birth raises ValueError."""
         dgm = PersistenceDiagram()
         for block in obj:
+            p = block["p"]
+            if not (isinstance(p, int) or isinstance(p, float) and p.is_integer()) or p < 0:
+                raise ValueError(f"dimension {p!r} is not an integer >= 0")
             for b, d in block["points"]:
                 birth, death = float(b), INF if d == "inf" else float(d)
-                if not math.isfinite(birth) or math.isnan(death):
-                    raise ValueError(f"point {[b, d]!r} has a NaN or a non-finite birth")
+                if not 0.0 <= birth < INF or math.isnan(death):
+                    raise ValueError(f"point {[b, d]!r} has a NaN or a negative or infinite birth")
                 if death < birth:
                     raise ValueError(f"point {[b, d]!r} dies before it is born")
-                dgm.add(int(block["p"]), birth, death)
+                dgm.add(int(p), birth, death)
         return dgm
 
 
@@ -136,9 +141,16 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
     boundary matrix of the (pmax+1)-skeleton.  Reduction adds a column
     only to columns of its own dimension, so higher simplices cannot
     change those pairs.  The facet pass that builds the columns checks
-    face-monotonicity (up to 1e-12) on every entry."""
+    face-monotonicity (up to 1e-12) on every entry.  A skeleton of more
+    than MAX_ENTRIES entries raises InvalidInput before any column is
+    built."""
     value = filt.value_of()
     entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
+    if len(entries) > MAX_ENTRIES:
+        raise InvalidInput(
+            f"the {pmax + 1}-skeleton to reduce has {len(entries)} filtration entries, "
+            f"above the limit of {MAX_ENTRIES}"
+        )
     position = {s: i for i, (s, _) in enumerate(entries)}
 
     columns: list[int] = []
@@ -176,95 +188,78 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
 
 @dataclass
 class Tower:
-    """Complexes linked by simplicial maps at strictly increasing scales.
+    """Complexes linked by simplicial vertex maps.
 
-    `births_at_zero` marks towers whose leftmost complex represents the
-    limit of a module that is constant down to scale 0 (e.g. a
-    vertices-only approximation complex); classes alive at the leftmost
-    index are then reported as born at 0.
+    Each complex is a `Filtration` that gives every simplex of the
+    complex the scale at which it enters.  `maps[i]` sends complex i
+    into complex i+1 at that complex's first value, so its image must
+    lie in the simplices entering there, and each complex enters after
+    the one before it is whole.
     """
 
-    complexes: list[SComplex]
+    complexes: list[Filtration]
     maps: list[VertexMap]
-    scales: list[float]
-    births_at_zero: bool = False
 
     def __post_init__(self):
-        if len(self.complexes) != len(self.scales):
-            raise InvalidInput("one scale per complex required")
         if len(self.maps) != max(len(self.complexes) - 1, 0):
             raise InvalidInput("need exactly one map per consecutive pair")
-        if any(b >= a for a, b in zip(self.scales[1:], self.scales)):
-            raise InvalidInput("scales must be strictly increasing")
+        for K, L in zip(self.complexes, self.complexes[1:]):
+            if not (K.entries and L.entries and K.entries[-1][1] < L.entries[0][1]):
+                raise InvalidInput("each complex must enter after the one before")
 
 
 def _coned_filtration(tower: Tower, pmax: int) -> dict:
     """Simplex -> value of a filtration with the persistence of `tower`
     in every dimension <= pmax: the simplices of dimension <= pmax+1.
 
-    A step whose map fixes every vertex is an inclusion: nothing
-    collapses, the map is simplicial iff the previous complex lies in
-    the next, and only the simplices that step adds are relabelled.  Any
-    other map is split into elementary collapses u -> v, one per extra
+    Each map is split into elementary collapses u -> v, one per extra
     vertex of a fibre, and each collapse is simulated by adding the cone
-    v * cl(St u) at the map's target scale before u is renamed to v in
-    the current complex (Dey, Fan and Wang 2014); the vertex with the
-    larger star survives, which keeps the filtration near-linear in the
-    tower's size (Kerber and Schreiber 2019).  Only faces of dimension
-    <= pmax are coned, since a cone over a k-face is a (k+1)-simplex.
-    The simplices of the target complex outside the image then enter at
-    the same scale.  Vertices are relabelled to integers: an image
-    vertex takes the id of its fibre's survivor and a new vertex a fresh
-    id, so no later vertex reuses the id of a removed one.  The current
-    complex keeps every simplex, whatever pmax: the collapsed complex is
-    the map's image, so the map is simplicial iff it lies in the
-    relabelled target.
+    v * cl(St u) at the map's scale before u is renamed to v in the
+    current complex (Dey, Fan and Wang 2014); the vertex with the larger
+    star survives, which keeps the filtration near-linear in the tower's
+    size (Kerber and Schreiber 2019).  Only faces of dimension <= pmax
+    are coned, since a cone over a k-face is a (k+1)-simplex.  The next
+    complex is then relabelled to integers: an image vertex takes the id
+    of its fibre's survivor and a new vertex a fresh id, so no later
+    vertex reuses the id of a removed one.  The collapsed complex is the
+    map's image, so the map is simplicial iff that image lies in the part
+    of the relabelled complex that enters at the map's scale; the current
+    complex keeps every simplex, whatever pmax, for that check.  Each
+    simplex then enters at its own value, unless a cone put it in first.
     """
     value: dict = {}
     ids: dict = {}  # vertex of the last complex walked -> its integer id
     fresh = itertools.count()
     current: set = set()  # the last complex walked, relabelled
-    before: set = set()  # the last complex walked, as given
     for i, K in enumerate(tower.complexes):
-        scale = 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
+        scale = K.entries[0][1] if K.entries else 0.0
         mapping = tower.maps[i - 1].mapping if i > 0 else {}
-        inclusion = all(mapping[x] == x for x in ids)
-        if inclusion:
-            if not before <= K.simplices:
-                raise InvalidInput("map is not simplicial")
-            added = K.simplices - before
-        else:
-            fibres: dict = {}
-            for x in sorted(ids):
-                fibres.setdefault(mapping[x], []).append(ids[x])
-            ids = {}
-            for w, (v, *rest) in fibres.items():
-                for u in rest:
-                    star_u = [s for s in current if u in s]
-                    star_v = [s for s in current if v in s]
-                    if len(star_u) > len(star_v):
-                        u, v, star_u = v, u, star_v
-                    for s in star_u:
-                        for k in range(1, min(len(s), pmax + 1) + 1):
-                            for face in itertools.combinations(s, k):
-                                value.setdefault(tuple(sorted({*face, v})), scale)
-                    current.difference_update(star_u)
-                    current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
-                ids[w] = v
-            added = K.simplices
-        for x in sorted({x for s in added for x in s}.difference(ids)):
+        fibres: dict = {}
+        for x in sorted(ids):
+            fibres.setdefault(mapping[x], []).append(ids[x])
+        ids = {}
+        for w, (v, *rest) in fibres.items():
+            for u in rest:
+                star_u = [s for s in current if u in s]
+                star_v = [s for s in current if v in s]
+                if len(star_u) > len(star_v):
+                    u, v, star_u = v, u, star_v
+                for s in star_u:
+                    for k in range(1, min(len(s), pmax + 1) + 1):
+                        for face in itertools.combinations(s, k):
+                            value.setdefault(tuple(sorted({*face, v})), scale)
+                current.difference_update(star_u)
+                current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
+            ids[w] = v
+        for x in sorted({x for s, _ in K.entries for x in s}.difference(ids)):
             ids[x] = next(fresh)
-        new = {tuple(sorted(ids[x] for x in s)) for s in added}
-        if inclusion:
-            current |= new
-        else:
-            image, current = current, new
-            if not image <= current:
-                raise InvalidInput("map is not simplicial")
-        for s in new:
+        new = {tuple(sorted(ids[x] for x in s)): v for s, v in K.entries}
+        if any(new.get(s, INF) > scale for s in current):
+            raise InvalidInput("map is not simplicial")
+        current = set(new)
+        for s, v in new.items():
             if len(s) <= pmax + 2:
-                value.setdefault(s, scale)
-        before = K.simplices
+                value.setdefault(s, v)
     return value
 
 
@@ -275,11 +270,5 @@ def tower_diagram(tower: Tower, pmax: int) -> PersistenceDiagram:
 
 
 def filtration_tower(filt) -> Tower:
-    """Inclusion tower of a filtration sampled at all its critical values."""
-    values = sorted({v for _, v in filt.entries})
-    complexes = [SComplex(filt.complex_at(v, tol=0.0)) for v in values]
-    maps = [
-        VertexMap(complexes[i], complexes[i + 1], {u: u for u in complexes[i].vertices()})
-        for i in range(len(complexes) - 1)
-    ]
-    return Tower(complexes, maps, values)
+    """The tower of one filtration, with no map."""
+    return Tower([filt], [])

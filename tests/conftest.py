@@ -3,11 +3,15 @@ import itertools
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cechkit.complexes import Filtration
+from cechkit.errors import InvalidInput
+from cechkit.homology import SComplex, Tower, VertexMap
 from cechkit.quadtree import Cell, cell_index_of
 
 # Hypothesis caches the literals it finds in local source files under its
@@ -80,3 +84,82 @@ def bench_module(name):
         sys.modules[key] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+# ---------------------------------------------------------------------------
+# towers as one complex per scale, the form the tower had before it held one
+# filtration per complex, and the coned walk over that form: the oracle of
+# `homology.Tower` and `homology._coned_filtration`
+
+
+@dataclass
+class ScaleTower:
+    """Complexes at strictly increasing scales linked by vertex maps; with
+    `births_at_zero` the first complex counts as entered at 0."""
+
+    complexes: list
+    maps: list
+    scales: list
+    births_at_zero: bool = False
+
+    def values(self) -> list:
+        """The scale at which each complex enters."""
+        return [0.0 if i == 0 and self.births_at_zero else s for i, s in enumerate(self.scales)]
+
+    def tower(self) -> Tower:
+        """The same tower as a `Tower`: each complex whole at its scale."""
+        values = zip(self.complexes, self.values())
+        return Tower([Filtration([(s, v) for s in K.simplices]) for K, v in values], self.maps)
+
+
+def per_scale(tower: Tower) -> ScaleTower:
+    """A `Tower` as one complex per value of its filtrations, each joined to
+    the next by the identity inside a filtration and by the tower's map
+    between two."""
+    complexes, maps, scales = [], [], []
+    for i, K in enumerate(tower.complexes):
+        for j, v in enumerate(sorted({v for _, v in K.entries})):
+            L = SComplex(K.complex_at(v))
+            if complexes:
+                prev = complexes[-1]
+                mapping = tower.maps[i - 1].mapping if j == 0 else {x: x for x in prev.vertices()}
+                maps.append(VertexMap(prev, L, mapping))
+            complexes.append(L)
+            scales.append(v)
+    return ScaleTower(complexes, maps, scales)
+
+
+def ref_coned_filtration(tower: ScaleTower) -> dict:
+    """Coned filtration of a per-scale tower in every dimension: every map
+    checked over its own domain and codomain, each fibre listed from the
+    domain, and each complex relabelled whole at its scale."""
+    value, ids, fresh, current = {}, {}, itertools.count(), set()
+    for i, (K, scale) in enumerate(zip(tower.complexes, tower.values())):
+        if i > 0:
+            f = tower.maps[i - 1]
+            if not f.is_simplicial():
+                raise InvalidInput("map is not simplicial")
+            fibres = {}
+            for x in tower.complexes[i - 1].vertices():
+                fibres.setdefault(f.mapping[x], []).append(ids[x])
+            ids = {}
+            for w, (v, *rest) in fibres.items():
+                for u in rest:
+                    star_u = [s for s in current if u in s]
+                    star_v = [s for s in current if v in s]
+                    if len(star_u) > len(star_v):
+                        u, v, star_u = v, u, star_v
+                    for s in star_u:
+                        for k in range(1, len(s) + 1):
+                            for face in itertools.combinations(s, k):
+                                value.setdefault(tuple(sorted({*face, v})), scale)
+                    current.difference_update(star_u)
+                    current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
+                ids[w] = v
+        for x in K.vertices():
+            if x not in ids:
+                ids[x] = next(fresh)
+        current = {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
+        for s in current:
+            value.setdefault(s, scale)
+    return value

@@ -29,8 +29,8 @@ from cechkit.homology import (
     INF,
     PersistenceDiagram,
     SComplex,
-    Tower,
     VertexMap,
+    _coned_filtration,
     check_contiguous,
     persist_filtration,
     tower_diagram,
@@ -38,7 +38,14 @@ from cechkit.homology import (
 from cechkit.quadtree import Cell, build, normalize, qcell
 from cechkit.wssd import build_wssd
 
-from conftest import TRIANGLE, bench_module, cells_at, random_cloud
+from conftest import (
+    TRIANGLE,
+    ScaleTower,
+    bench_module,
+    cells_at,
+    random_cloud,
+    ref_coned_filtration,
+)
 
 
 def make(pts, eps, kmax=None):
@@ -46,6 +53,64 @@ def make(pts, eps, kmax=None):
     if kmax is None:
         kmax = qt.d
     return qt, build_wssd(qt, eps / 12.0, kmax)
+
+
+def thetas(eps, ell_range):
+    """theta_l for every l of the range."""
+    return [theta_value(eps, ell) for ell in range(ell_range[0], ell_range[1] + 1)]
+
+
+def complexes_at(tower, scales):
+    """The complex of a grid tower at each scale: the simplices valued up
+    to it in the last complex entered by then."""
+    return [
+        [K for K in tower.complexes if K.entries[0][1] <= theta][-1].complex_at(theta)
+        for theta in scales
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the per-scale tower, kept as the oracle of build_tower: one ApproxComplex
+# per scale, cut from its height's top, joined by map_g at every step
+
+
+def ref_cut(top, params):
+    """The complex at a scale of top's height and no larger theta_k: each
+    simplex settled at that theta_k, faces first."""
+    theta, values = params.theta_k, {}
+    for s, bracket in top.values.items():
+        if bracket[0] <= theta < bracket[1]:
+            facets = [values.get(f) for f in itertools.combinations(s, len(s) - 1)]
+            bracket = None if None in facets else approx_module._settle(s, bracket, theta, facets)
+        elif theta < bracket[0]:
+            bracket = None
+        if bracket is not None:
+            values[s] = bracket
+    return ApproxComplex(params.alpha, params, SComplex(set(values)), values)
+
+
+def ref_approx_complexes(qt, dec, eps, ell_range):
+    """ApproxComplex at every scale: one build_A per height, cut below."""
+    params = [approx_module._grid_params(qt, theta, eps) for theta in thetas(eps, ell_range)]
+    out = []
+    for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
+        *below, last = run
+        top = build_A(qt, dec, last.alpha, eps)
+        out += [ref_cut(top, p) for p in below] + [top]
+    return out
+
+
+def ref_build_tower(qt, dec, eps, ell_range):
+    """The tower at every scale; the first complex counts as entered at 0
+    when it holds one vertex per point and nothing else."""
+    a = ref_approx_complexes(qt, dec, eps, ell_range)
+    left = a[0].complex.simplices
+    return ScaleTower(
+        [x.complex for x in a],
+        [map_g(x, y) for x, y in zip(a, a[1:])],
+        thetas(eps, ell_range),
+        births_at_zero={len(s) for s in left} == {1} and len(left) == qt.cloud.n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +171,7 @@ def test_theta_bracket_for_height():
 def test_build_A_tiny_scale_vertices_only():
     qt, dec = make(TRIANGLE, 0.5)
     a = build_A(qt, dec, 1e-4, 0.5)
-    assert a.complex.max_dim() == 0
+    assert {len(s) for s in a.complex.simplices} == {1}
     assert len(a.complex.vertices()) == 3
 
 
@@ -123,7 +188,7 @@ def test_build_A_huge_scale_contractible():
     qt, dec = make(random_cloud(rng, 6, 2), 0.5)
     lo, hi = tower_scale_range(qt, 0.5)
     t = build_tower(qt, dec, 0.5, (hi, hi))
-    assert tower_diagram(t, 0).dim(0) == [(t.scales[0], INF)]
+    assert tower_diagram(t, 0).dim(0) == [(theta_value(0.5, hi), INF)]
     assert tower_diagram(t, 1).dim(1) == []
 
 
@@ -233,7 +298,7 @@ def test_tower_scale_range_spans_module():
     lo, hi = tower_scale_range(qt, 0.5)
     assert lo < hi
     a_lo = build_A(qt, dec, theta_value(0.5, lo), 0.5)
-    assert a_lo.complex.max_dim() == 0
+    assert {len(s) for s in a_lo.complex.simplices} == {1}
 
 
 def test_build_tower_triangle_h0():
@@ -242,7 +307,7 @@ def test_build_tower_triangle_h0():
     dgm = tower_diagram(t, 0)
     inf_classes = [b for b, d in dgm.dim(0) if d == INF]
     assert inf_classes == [0.0]
-    assert t.births_at_zero
+    assert [v for s, v in t.complexes[0].entries if len(s) == 1] == [0.0] * 3
 
 
 def test_build_tower_empty_range():
@@ -297,16 +362,17 @@ def _two_clusters(rng, n, sigma=0.01):
 @pytest.mark.parametrize("kind", ["uniform", "clusters"])
 @pytest.mark.parametrize("eps", [0.25, 0.5])
 def test_build_tower_shared_cache_matches_independent_build_A(kind, eps):
-    # build_tower enumerates one complex per grid height and cuts it at
-    # the other scales of that height; each complex must equal a fresh
-    # build_A at the same theta.
+    # build_tower enumerates one complex per grid height and values each
+    # simplex at the scale it enters; the complex at each scale must equal
+    # a fresh build_A at the same theta.
     rng = np.random.default_rng([80, int(eps * 100), kind == "clusters"])
     for n in (8, 9):
         pts = random_cloud(rng, n, 2) if kind == "uniform" else _two_clusters(rng, n)
         qt, dec = make(pts, eps, kmax=2)
+        scales = thetas(eps, tower_scale_range(qt, eps))
         tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
-        for theta, K in zip(tower.scales, tower.complexes):
-            assert K.simplices == build_A(qt, dec, theta, eps).complex.simplices
+        for theta, K in zip(scales, complexes_at(tower, scales)):
+            assert K == build_A(qt, dec, theta, eps).complex.simplices
 
 
 def test_build_tower_enumerates_once_per_height_and_solves_each_tuple_once(monkeypatch):
@@ -329,11 +395,57 @@ def test_build_tower_enumerates_once_per_height_and_solves_each_tuple_once(monke
     for pts, eps in ((random_cloud(rng, 9, 2), 0.25), (_two_clusters(rng, 8), 0.5)):
         heights.clear()
         qt, dec = make(pts, eps, kmax=2)
+        scales = thetas(eps, tower_scale_range(qt, eps))
         tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
-        distinct = sorted({scale_params(s, eps, qt.d).h_alpha for s in tower.scales})
-        assert len(tower.scales) > len(distinct)
+        distinct = sorted({scale_params(s, eps, qt.d).h_alpha for s in scales})
+        assert len(scales) > len(distinct)
         assert heights == distinct
+        assert len(tower.complexes) == len(distinct)
     assert len(solved) == len(set(solved))
+
+
+def test_one_complex_per_height_and_the_walk_match_the_per_scale_tower(monkeypatch):
+    # On tower2d seeds 0-7 and the clouds of acceptance criterion 5: one
+    # complex and one build_A per grid height, no map that fixes every
+    # vertex, build_A's complex at every scale, no union solved twice, and
+    # the per-scale tower's coned filtration, dict for dict.
+    calls, solved = [], []
+    build, solve = approx_module.build_A, approx_module.meb_of_cells
+
+    def build_spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    def solve_spy(cells):
+        solved.append(cells)
+        return solve(cells)
+
+    monkeypatch.setattr(approx_module, "build_A", build_spy)
+    monkeypatch.setattr(approx_module, "meb_of_cells", solve_spy)
+    wl = bench_module("workloads").WORKLOADS["tower2d"]
+    cases = [wl.inputs(seed, index)[0] for seed in range(8) for index in range(len(wl.slots))]
+    rng = np.random.default_rng(1005)
+    for trial in range(10):
+        eps = 0.25 if trial % 2 == 0 else 0.5
+        cases.append({"points": random_cloud(rng, int(rng.integers(5, 11)), 2), "eps": eps})
+    for args in cases:
+        eps = args["eps"]
+        qt, dec = make(args["points"], eps, 2)
+        ell = tower_scale_range(qt, eps)
+        scales = thetas(eps, ell)
+        calls.clear()
+        solved.clear()
+        tower = build_tower(qt, dec, eps, ell)
+        assert len(solved) == len(set(solved))
+        heights = {scale_params(theta, eps, qt.d).h_alpha for theta in scales}
+        assert len(tower.complexes) == len(calls) == len(heights)
+        assert all(any(v != w for v, w in g.mapping.items()) for g in tower.maps)
+        want = [build(qt, dec, theta, eps).complex.simplices for theta in scales]
+        assert complexes_at(tower, scales) == want
+        coned = ref_coned_filtration(ref_build_tower(qt, dec, eps, ell))
+        for pmax in (0, 1):
+            want = {s: v for s, v in coned.items() if len(s) <= pmax + 2}
+            assert _coned_filtration(tower, pmax) == want, pmax
 
 
 @st.composite
@@ -389,8 +501,8 @@ def test_build_tower_solves_only_tuples_whose_bracket_holds_a_scale(monkeypatch)
     for pts, eps in clouds:
         solved.clear()
         qt, dec = make(pts, eps)
-        tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
-        params = [scale_params(s, eps, qt.d) for s in tower.scales]
+        build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+        params = [scale_params(s, eps, qt.d) for s in thetas(eps, tower_scale_range(qt, eps))]
         for t in solved:
             assert len(t) >= 3
             side = t[0].side
@@ -489,16 +601,8 @@ def _bracket_oracle(t, facets, half, half_diag):
 
 
 def _tower_values(qt, dec, eps):
-    """ApproxComplex.values at every scale of the tower, built as
-    `build_tower` builds them: one `build_A` per height, cut below."""
-    lo, hi = tower_scale_range(qt, eps)
-    params = [approx_module._grid_params(qt, theta_value(eps, ell), eps) for ell in range(lo, hi + 1)]
-    out = []
-    for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
-        *below, last = run
-        top = build_A(qt, dec, last.alpha, eps)
-        out += [top.cut(p).values for p in below] + [top.values]
-    return out
+    """ApproxComplex.values at every scale of the tower."""
+    return [a.values for a in ref_approx_complexes(qt, dec, eps, tower_scale_range(qt, eps))]
 
 
 def test_tower2d_brackets_equal_the_unhoisted_bracket(monkeypatch):
@@ -519,18 +623,6 @@ def test_tower2d_brackets_equal_the_unhoisted_bracket(monkeypatch):
         assert len(g) == len(w)
         for a, b in zip(g, w):
             assert a == b
-
-
-def test_cut_needs_the_same_height_and_no_larger_theta():
-    rng = np.random.default_rng(84)
-    qt, dec = make(random_cloud(rng, 7, 2), 0.5)
-    a = build_A(qt, dec, 1.1, 0.5)
-    below = scale_params(1.1 / 1.25, 0.5, qt.d)
-    assert below.h_alpha == a.h
-    assert a.cut(below).complex.simplices == build_A(qt, dec, below.alpha, 0.5).complex.simplices
-    for alpha in (1.1 * 1.25, 1.1 / 4.0):
-        with pytest.raises(InvalidInput, match="cut"):
-            a.cut(scale_params(alpha, 0.5, qt.d))
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +668,10 @@ def assert_tower_matches_oracles(pts, eps, kmax):
     lo, hi = tower_scale_range(qt, eps)
     tower = build_tower(qt, dec, eps, (lo, hi))
     ref_cache, brute_cache = {}, {}
-    ref = [ref_build_A(qt, dec, theta_value(eps, ell), eps, ref_cache) for ell in range(lo, hi + 1)]
-    for ell, K, a in zip(range(lo, hi + 1), tower.complexes, ref):
-        assert K.simplices == a.complex.simplices, ell
-        assert K.simplices == brute_D(qt, kmax, a.alpha, eps, brute_cache), ell
+    ref = [ref_build_A(qt, dec, theta, eps, ref_cache) for theta in thetas(eps, (lo, hi))]
+    for ell, K, a in zip(range(lo, hi + 1), complexes_at(tower, thetas(eps, (lo, hi))), ref):
+        assert K == a.complex.simplices, ell
+        assert K == brute_D(qt, kmax, a.alpha, eps, brute_cache), ell
     return tower, ref
 
 
@@ -594,7 +686,9 @@ def test_tower2d_seeds_match_projection():
             args, _ = wl.inputs(seed, index)
             tower, ref = assert_tower_matches_oracles(args["points"], args["eps"], 2)
             maps = [map_g(a, b) for a, b in zip(ref, ref[1:])]
-            ref_tower = Tower([a.complex for a in ref], maps, tower.scales, tower.births_at_zero)
+            scales = [a.alpha for a in ref]
+            first = tower.complexes[0].entries[0][1]
+            ref_tower = ScaleTower([a.complex for a in ref], maps, scales, first == 0.0).tower()
             dgm = tower_diagram(tower, 1)
             assert dgm == tower_diagram(ref_tower, 1), (seed, index)
             assert dgm.dim(0) == tower_diagram(tower, 0).dim(0), (seed, index)
@@ -623,9 +717,10 @@ def test_r3_towers_match_projection_and_brute_force():
 def test_build_A_is_D_alpha_and_g_simplicial(grid_points, eps):
     qt, dec = make(np.array(grid_points, dtype=float), eps)
     tower = build_tower(qt, dec, eps, tower_scale_range(qt, eps))
+    scales = thetas(eps, tower_scale_range(qt, eps))
     cache: dict = {}
-    for theta, K in zip(tower.scales, tower.complexes):
-        assert K.simplices == brute_D(qt, 2, theta, eps, cache)
+    for theta, K in zip(scales, complexes_at(tower, scales)):
+        assert K == brute_D(qt, 2, theta, eps, cache)
     assert all(g.is_simplicial() for g in tower.maps)
 
 

@@ -14,7 +14,7 @@ from cechkit import homology
 from conftest import bench_module
 
 
-@pytest.mark.parametrize("name", ["tower2d", "completion_hd", "compare"])
+@pytest.mark.parametrize("name", ["tower2d", "wssd_scale", "completion_hd", "compare"])
 def test_one_cycle_passes_output_checks(name):
     W = bench_module("workloads")
     wl = W.WORKLOADS[name]

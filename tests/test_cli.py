@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cechkit import cli, complexes, coreset, diagram, homology, wssd
+from cechkit import complexes, coreset, diagram, homology, wssd
 from cechkit.cli import load_points, main
 from cechkit.errors import ParseError
 
@@ -598,11 +598,12 @@ def test_negative_pmax_exits_3(capsys, triangle_file, command):
     assert "pmax" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["cech", "rips", "completion"])
+@pytest.mark.parametrize("command", ["cech", "rips", "completion", "approx"])
 @pytest.mark.parametrize("limit, code", [(6, 3), (7, 0)])
 def test_filtration_entry_limit(capsys, monkeypatch, triangle_file, command, limit, code):
-    # The triangle's 2-skeleton has 7 entries.
-    monkeypatch.setattr(cli, "MAX_ENTRIES", limit)
+    # The triangle's 2-skeleton has 7 entries, and so has the coned
+    # filtration of its approx tower at pmax 1.
+    monkeypatch.setattr(homology, "MAX_ENTRIES", limit)
     assert main([command, triangle_file, "--pmax", "1"]) == code
     if code == 3:
         err = capsys.readouterr().err
@@ -629,7 +630,7 @@ def test_filtration_above_the_entry_limit_exits_before_building(tmp_path, comman
     )
     assert proc.returncode == 3, proc.stderr
     assert "523685 filtration entries" in proc.stderr
-    assert f"limit of {cli.MAX_ENTRIES}" in proc.stderr
+    assert f"limit of {homology.MAX_ENTRIES}" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -644,6 +645,9 @@ def test_filtration_above_the_entry_limit_exits_before_building(tmp_path, comman
         ("inf_birth.json", '[{"p": 1, "points": [["inf", "inf"]]}]'),
         ("inverted.json", '[{"p": 1, "points": [[2.0, 1.0]]}]'),
         ("neg_inf_death.json", '[{"p": 1, "points": [[1.0, "-Infinity"]]}]'),
+        ("negative_birth.json", '[{"p": 0, "points": [[-1.0, 2.0]]}]'),
+        ("negative_p.json", '[{"p": -1, "points": [[1.0, 2.0]]}]'),
+        ("fractional_p.json", '[{"p": 1.5, "points": [[1.0, 2.0]]}]'),
     ],
 )
 def test_compare_unreadable_diagram_exits_2(capsys, tmp_path, name, text):

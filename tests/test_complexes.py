@@ -16,7 +16,7 @@ from cechkit.complexes import (
 from cechkit.errors import InvalidInput
 from cechkit.geometry import TAU_GEOM, circumball, covers, meb
 
-from conftest import TRIANGLE, filtration_max_dim, is_face_monotone, random_cloud
+from conftest import TRIANGLE, is_face_monotone, random_cloud
 
 
 def test_cech_filtration_triangle():
@@ -267,4 +267,3 @@ def test_complex_at_threshold():
     filt = Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.5)])
     assert filt.complex_at(0.4) == {(0,), (1,)}
     assert filt.complex_at(0.5) == {(0,), (1,), (0, 1)}
-    assert filtration_max_dim(filt) == 1

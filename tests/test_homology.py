@@ -22,7 +22,15 @@ from cechkit.homology import (
     tower_diagram,
 )
 
-from conftest import TRIANGLE, bench_module, filtration_max_dim, random_cloud
+from conftest import (
+    TRIANGLE,
+    ScaleTower,
+    bench_module,
+    filtration_max_dim,
+    per_scale,
+    random_cloud,
+    ref_coned_filtration,
+)
 
 
 def closure(simplices):
@@ -155,8 +163,13 @@ def alive(dgm, p, a, b):
     return sum(1 for x, y in dgm.dim(p) if x <= a and y > b)
 
 
+def scale_tower(complexes, maps, scales, births_at_zero=False):
+    """The tower of the complexes, each whole at its scale."""
+    return ScaleTower(complexes, maps, scales, births_at_zero).tower()
+
+
 def single(K, scale=1.0):
-    return Tower([K], [], [scale])
+    return scale_tower([K], [], [scale])
 
 
 def test_basis_circle():
@@ -179,7 +192,7 @@ def test_basis_two_components():
 
 def test_induced_identity():
     K = circle_complex(6)
-    t = Tower([K, K], [identity_map(K)], [1.0, 2.0])
+    t = scale_tower([K, K], [identity_map(K)], [1.0, 2.0])
     assert tower_diagram(t, 1).dim(1) == [(1.0, INF)]
 
 
@@ -190,7 +203,7 @@ def test_induced_collapse_kills_h1():
     disk = SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)})
     f = VertexMap(K, disk, {i: i % 3 for i in range(6)})
     assert f.is_simplicial()
-    t = Tower([K, disk], [f], [1.0, 2.0])
+    t = scale_tower([K, disk], [f], [1.0, 2.0])
     assert tower_diagram(t, 1).dim(1) == [(1.0, 2.0)]
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
@@ -204,8 +217,8 @@ def test_contiguous_maps_equal_on_homology():
     assert f.is_simplicial() and g.is_simplicial()
     assert check_contiguous(f, g)
     for p in (0, 1):
-        tf = tower_diagram(Tower([K, L], [f], [1.0, 2.0]), p)
-        tg = tower_diagram(Tower([K, L], [g], [1.0, 2.0]), p)
+        tf = tower_diagram(scale_tower([K, L], [f], [1.0, 2.0]), p)
+        tg = tower_diagram(scale_tower([K, L], [g], [1.0, 2.0]), p)
         assert tf.dim(p) == tg.dim(p) == [(1.0, INF)]
 
 
@@ -230,8 +243,8 @@ def test_induced_functorial():
     for C, rank in ((circle_complex(4), 1), (disk, 0)):
         g = VertexMap(B, C, identity_map(B).mapping)
         assert g.is_simplicial()
-        through = tower_diagram(Tower([A, B, C], [f, g], [1.0, 2.0, 3.0]), 1)
-        direct = tower_diagram(Tower([A, C], [g.compose(f)], [1.0, 3.0]), 1)
+        through = tower_diagram(scale_tower([A, B, C], [f, g], [1.0, 2.0, 3.0]), 1)
+        direct = tower_diagram(scale_tower([A, C], [g.compose(f)], [1.0, 3.0]), 1)
         assert alive(through, 1, 1.0, 3.0) == alive(direct, 1, 1.0, 3.0) == rank
 
 
@@ -241,7 +254,7 @@ def test_tower_collapse_keeps_the_larger_star():
     # add an edge and a triangle per leaf.
     K = closure([(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
     L = closure([(1, 5), (2, 5), (3, 5), (4, 5)])
-    t = Tower([K, L], [VertexMap(K, L, {v: 5 if v == 0 else v for v in range(6)})], [1.0, 2.0])
+    t = scale_tower([K, L], [VertexMap(K, L, {v: 5 if v == 0 else v for v in range(6)})], [1.0, 2.0])
     assert len(_coned_filtration(t, 1)) == len(K.simplices)
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
@@ -250,7 +263,7 @@ def test_tower_rejects_non_simplicial_map():
     # The edge (0, 1) maps onto (0, 1) of a complex without that edge.
     K = SComplex({(0,), (1,), (0, 1)})
     L = SComplex({(0,), (1,)})
-    t = Tower([K, L], [VertexMap(K, L, {0: 0, 1: 1})], [1.0, 2.0])
+    t = scale_tower([K, L], [VertexMap(K, L, {0: 0, 1: 1})], [1.0, 2.0])
     for p in (0, 1):
         with pytest.raises(InvalidInput):
             tower_diagram(t, p)
@@ -261,20 +274,32 @@ def test_tower_checks_each_map_on_the_complex_it_maps():
     # tower's K it sends the edge (0, 1) to an edge that L lacks.
     K = SComplex({(0,), (1,), (0, 1)})
     L = SComplex({(0,), (1,)})
-    t = Tower([K, L], [VertexMap(L, L, {0: 0, 1: 1})], [1.0, 2.0])
+    t = scale_tower([K, L], [VertexMap(L, L, {0: 0, 1: 1})], [1.0, 2.0])
     for p in (0, 1):
         with pytest.raises(InvalidInput, match="not simplicial"):
             tower_diagram(t, p)
 
 
 def test_tower_rejects_an_inclusion_that_drops_a_triangle():
-    # Every vertex is fixed, so the step is an inclusion; the triangle it
+    # Every vertex is fixed, so nothing collapses; the triangle the step
     # loses is above what a pmax 0 diagram reads, and is still checked.
     K = closure([(0, 1, 2)])
     L = SComplex(K.simplices - {(0, 1, 2)})
-    t = Tower([K, L], [VertexMap(K, L, {0: 0, 1: 1, 2: 2})], [1.0, 2.0])
+    t = scale_tower([K, L], [VertexMap(K, L, {0: 0, 1: 1, 2: 2})], [1.0, 2.0])
     with pytest.raises(InvalidInput, match="not simplicial"):
         tower_diagram(t, 0)
+
+
+def test_tower_map_lands_where_its_complex_starts():
+    # L holds the edge (0, 1), but only from 3.0 on; the map enters L at
+    # its first value, 2.0, where the edge is not yet in.
+    K = Filtration([((0,), 1.0), ((1,), 1.0), ((0, 1), 1.0)])
+    late = Filtration([((0,), 2.0), ((1,), 2.0), ((0, 1), 3.0)])
+    on_time = Filtration([((0,), 2.0), ((1,), 2.0), ((0, 1), 2.0), ((2,), 3.0)])
+    f = VertexMap(SComplex(K.simplices), SComplex(late.simplices), {0: 0, 1: 1})
+    with pytest.raises(InvalidInput, match="not simplicial"):
+        tower_diagram(Tower([K, late], [f]), 0)
+    assert tower_diagram(Tower([K, on_time], [f]), 0).dim(0) == [(1.0, INF), (3.0, INF)]
 
 
 def test_tower_rejects_a_merge_onto_a_missing_edge():
@@ -284,9 +309,9 @@ def test_tower_rejects_a_merge_onto_a_missing_edge():
     merge = {0: 0, 1: 0, 2: 2}
     L = SComplex({(0,), (2,)})
     with pytest.raises(InvalidInput, match="not simplicial"):
-        tower_diagram(Tower([K, L], [VertexMap(K, L, merge)], [1.0, 2.0]), 0)
+        tower_diagram(scale_tower([K, L], [VertexMap(K, L, merge)], [1.0, 2.0]), 0)
     L2 = SComplex({(0,), (2,), (0, 2)})
-    t = Tower([K, L2], [VertexMap(K, L2, merge)], [1.0, 2.0])
+    t = scale_tower([K, L2], [VertexMap(K, L2, merge)], [1.0, 2.0])
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
 
@@ -295,7 +320,7 @@ def test_tower_rejects_a_merge_onto_a_missing_edge():
 
 def test_tower_constant_circle():
     K = circle_complex(5)
-    t = Tower([K, K], [identity_map(K)], [1.0, 2.0])
+    t = scale_tower([K, K], [identity_map(K)], [1.0, 2.0])
     assert tower_diagram(t, 1).dim(1) == [(1.0, INF)]
     assert tower_diagram(t, 0).dim(0) == [(1.0, INF)]
 
@@ -308,14 +333,14 @@ def test_tower_circle_circle_disk():
     disk = SComplex({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)})
     f0 = VertexMap(K0, K1, {i: i // 2 for i in range(6)})
     f1 = VertexMap(K1, disk, {0: 0, 1: 1, 2: 2})
-    t = Tower([K0, K1, disk], [f0, f1], [s0, s1, s2])
+    t = scale_tower([K0, K1, disk], [f0, f1], [s0, s1, s2])
     assert tower_diagram(t, 1).dim(1) == [(s0, s2)]
     assert tower_diagram(t, 0).dim(0) == [(s0, INF)]
 
 
 def test_tower_births_at_zero():
     K = circle_complex(4)
-    t = Tower([K, K], [identity_map(K)], [0.3, 0.9], births_at_zero=True)
+    t = scale_tower([K, K], [identity_map(K)], [0.3, 0.9], births_at_zero=True)
     assert tower_diagram(t, 1).dim(1) == [(0.0, INF)]
 
 
@@ -326,8 +351,8 @@ def test_tower_multiplicities_nonnegative_random():
     rng = np.random.default_rng(63)
     pts = random_cloud(rng, 7, 2)
     filt = cech_filtration(pts, 3)
-    t = filtration_tower(filt)
-    dgm = tower_diagram(t, 1)
+    dgm = tower_diagram(filtration_tower(filt), 1)
+    t = per_scale(filtration_tower(filt))
     bases = [homology_basis(K, 1) for K in t.complexes]
     assert max(b.betti for b in bases) > 0
     for i, a in enumerate(t.scales):
@@ -353,9 +378,9 @@ def test_tower_matches_filtration_persistence():
 def test_tower_validation():
     K = circle_complex(3)
     with pytest.raises(InvalidInput):
-        Tower([K, K], [identity_map(K)], [2.0, 1.0])
+        scale_tower([K, K], [identity_map(K)], [2.0, 1.0])
     with pytest.raises(InvalidInput):
-        Tower([K, K], [], [1.0, 2.0])
+        scale_tower([K, K], [], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +535,7 @@ def gf2_rank(M):
 
 
 def ref_tower_diagram(tower, p):
-    """Diagram of a tower via persistent Betti ranks of induced maps."""
+    """Diagram of a per-scale tower via persistent Betti ranks of induced maps."""
     m = len(tower.complexes)
     dgm = PersistenceDiagram()
     if m == 0:
@@ -528,7 +553,7 @@ def ref_tower_diagram(tower, p):
     def b(i, j):
         return 0 if i < 0 or j < 0 else beta[i][j]
 
-    birth = [0.0 if i == 0 and tower.births_at_zero else s for i, s in enumerate(tower.scales)]
+    birth = tower.values()
     for i in range(m):
         for j in range(i + 1, m):
             for _ in range(b(i, j - 1) - b(i, j) - b(i - 1, j - 1) + b(i - 1, j)):
@@ -554,7 +579,7 @@ def test_ref_betti_numbers():
 
 def assert_matches_oracle(tower, dims=(0, 1)):
     for p in dims:
-        assert tower_diagram(tower, p).dim(p) == ref_tower_diagram(tower, p).dim(p), p
+        assert tower_diagram(tower, p).dim(p) == ref_tower_diagram(per_scale(tower), p).dim(p), p
 
 
 def hand_built_towers():
@@ -569,18 +594,18 @@ def hand_built_towers():
         single(c5),
         single(disk3),
         single(SComplex({(0,), (1,), (2,), (0, 1)})),
-        Tower([c6, c6], [identity_map(c6)], [1.0, 2.0]),
-        Tower([c6, disk3], [VertexMap(c6, disk3, {i: i % 3 for i in range(6)})], [1.0, 2.0]),
-        Tower([c8, c4], [half], [1.0, 2.0]),
-        Tower([c8, c4], [VertexMap(c8, c4, {i: -(-i // 2) % 4 for i in range(8)})], [1.0, 2.0]),
-        Tower([c8, c4, disk4], [half, VertexMap(c4, disk4, identity_map(c4).mapping)], [1, 2, 3]),
-        Tower([c5, c5], [identity_map(c5)], [1.0, 2.0]),
-        Tower(
+        scale_tower([c6, c6], [identity_map(c6)], [1.0, 2.0]),
+        scale_tower([c6, disk3], [VertexMap(c6, disk3, {i: i % 3 for i in range(6)})], [1.0, 2.0]),
+        scale_tower([c8, c4], [half], [1.0, 2.0]),
+        scale_tower([c8, c4], [VertexMap(c8, c4, {i: -(-i // 2) % 4 for i in range(8)})], [1.0, 2.0]),
+        scale_tower([c8, c4, disk4], [half, VertexMap(c4, disk4, identity_map(c4).mapping)], [1, 2, 3]),
+        scale_tower([c5, c5], [identity_map(c5)], [1.0, 2.0]),
+        scale_tower(
             [c6, c3, disk3],
             [VertexMap(c6, c3, {i: i // 2 for i in range(6)}), identity_map(disk3)],
             [0.5, 1.0, 2.0],
         ),
-        Tower([c4, c4], [identity_map(c4)], [0.3, 0.9], births_at_zero=True),
+        scale_tower([c4, c4], [identity_map(c4)], [0.3, 0.9], births_at_zero=True),
     ]
 
 
@@ -624,7 +649,7 @@ def random_vertex_map_tower(rng, births_at_zero, inclusions=False):
         complexes.append(L)
         scales.append(scales[-1] + float(rng.uniform(0.1, 1.0)))
         K = L
-    return Tower(complexes, maps, scales, births_at_zero=births_at_zero)
+    return scale_tower(complexes, maps, scales, births_at_zero=births_at_zero)
 
 
 def test_tower_matches_oracle_random_vertex_maps():
@@ -650,44 +675,8 @@ def test_tower_matches_oracle_tower2d_workload():
 
 
 # ---------------------------------------------------------------------------
-# the tower walk and the persistence readout before they shared passes with
-# the collapses and the reduction, kept as their oracle
-
-def ref_coned_filtration(tower):
-    """Coned filtration with a separate simpliciality pass over each map's
-    own domain and codomain, and each fibre listed from the domain again."""
-    value, ids, fresh, current = {}, {}, itertools.count(), set()
-    for i, K in enumerate(tower.complexes):
-        scale = 0.0 if (i == 0 and tower.births_at_zero) else tower.scales[i]
-        if i > 0:
-            f = tower.maps[i - 1]
-            if not f.is_simplicial():
-                raise InvalidInput("map is not simplicial")
-            fibres = {}
-            for x in tower.complexes[i - 1].vertices():
-                fibres.setdefault(f.mapping[x], []).append(ids[x])
-            ids = {}
-            for w, (v, *rest) in fibres.items():
-                for u in rest:
-                    star_u = [s for s in current if u in s]
-                    star_v = [s for s in current if v in s]
-                    if len(star_u) > len(star_v):
-                        u, v, star_u = v, u, star_v
-                    for s in star_u:
-                        for k in range(1, len(s) + 1):
-                            for face in itertools.combinations(s, k):
-                                value.setdefault(tuple(sorted({*face, v})), scale)
-                    current.difference_update(star_u)
-                    current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
-                ids[w] = v
-        for x in K.vertices():
-            if x not in ids:
-                ids[x] = next(fresh)
-        current = {tuple(sorted(ids[x] for x in s)) for s in K.simplices}
-        for s in current:
-            value.setdefault(s, scale)
-    return value
-
+# the persistence readout before it shared a pass with the reduction, kept
+# as its oracle; the walk's is conftest.ref_coned_filtration
 
 def ref_persist(filt, pmax):
     """Column reduction that records every low, then reads the pairs and
@@ -744,7 +733,7 @@ def oracle_towers():
 def test_tower_walk_and_readout_match_their_two_pass_versions():
     # The walk at pmax emits the oracle's simplices of dimension <= pmax+1.
     for tower in oracle_towers():
-        ref = ref_coned_filtration(tower)
+        ref = ref_coned_filtration(per_scale(tower))
         filt = Filtration(list(ref.items()))
         for pmax in (0, 1, 2):
             coned = _coned_filtration(tower, pmax)
