@@ -78,7 +78,7 @@ def _write_report(obj, out_path):
 
 def _check_entries(n: int, pmax: int):
     """Reject a filtration of every simplex up to dimension pmax+1 on n
-    points larger than the reduction takes, before any is built."""
+    points above `homology.MAX_ENTRIES`, before any is built."""
     entries = sum(math.comb(n, k + 1) for k in range(min(pmax + 1, n - 1) + 1))
     if entries > homology.MAX_ENTRIES:
         raise InvalidInput(

@@ -84,12 +84,14 @@ def cech_filtration(points, kmax: int) -> Filtration:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n, d = pts.shape
     rows = [tuple(p) for p in pts.tolist()]
-    # simplex -> (center, value), for the dimension last solved only
+    # simplex -> (center, value), for the dimension last solved only; the
+    # top dimension solved keeps none, since no coface reads them
     balls: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {
         (i,): (rows[i], 0.0) for i in range(n)
     }
     values = {s: 0.0 for s in balls}
-    for k in range(1, min(kmax, n - 1, d) + 1):
+    top = min(kmax, n - 1, d)
+    for k in range(1, top + 1):
         prev, balls = balls, {}
         for simplex in itertools.combinations(range(n), k + 1):
             facets = [simplex[:j] + simplex[j + 1 :] for j in range(k + 1)]
@@ -100,7 +102,8 @@ def cech_filtration(points, kmax: int) -> Filtration:
             else:
                 ball = _all_support_ball([rows[i] for i in simplex])
             value = max(ball[1], max(prev[f][1] for f in facets))
-            balls[simplex] = (ball[0], value)
+            if k < top:
+                balls[simplex] = (ball[0], value)
             values[simplex] = value
     return _complete(values, range(n), d, kmax)
 
@@ -147,7 +150,7 @@ def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
     vertices = sorted({v for s in values for v in s})
     n = len(vertices)
     for k in range(min(i, n - 1) + 1):
-        if any(s not in values for s in itertools.combinations(vertices, k + 1)):
+        if not all(map(values.__contains__, itertools.combinations(vertices, k + 1))):
             raise InvalidInput("input filtration is missing part of its i-skeleton")
     return _complete(values, vertices, i, kmax)
 

@@ -1,13 +1,15 @@
 """GF(2) persistent homology.
 
-One engine, ``persist_filtration``: classical boundary-matrix column
-reduction of a filtration, columns stored as Python ints (bitsets), each
-pair read as soon as its column settles.  A diagram up to dimension pmax
-reads only the (pmax+1)-skeleton, so that is all it reduces, in one
-facet pass that also checks every entry; above ``MAX_ENTRIES`` entries
-it refuses.  A tower is a sequence of filtrations, each giving every
-simplex of one complex the scale at which it enters, linked by
-simplicial vertex maps.  ``tower_diagram`` turns it into one filtration
+One engine, ``persist_filtration``: persistent cohomology with clearing
+(de Silva, Morozov and Vejdemo-Johansson 2011; Bauer 2021), which reduces
+the coboundaries of each dimension in reverse filtration order, as sparse
+sets of cofacet positions, and gives the pairs of homology.  A diagram up
+to dimension pmax reads only the (pmax+1)-skeleton, so that is all it
+reduces, after one facet pass that also checks every entry; above
+``MAX_ENTRIES`` entries it refuses.  Running backwards, it needs the
+whole filtration before it starts.  A tower is a sequence of
+filtrations, each giving every simplex of one complex the scale at which
+it enters, linked by simplicial vertex maps.  ``tower_diagram`` turns it into one filtration
 with the same diagram by coning off each vertex collapse of each map;
 the same walk checks each map on the complex it relabels.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .complexes import Filtration
@@ -23,10 +26,11 @@ from .errors import InvalidInput
 
 INF = math.inf
 
-# Most entries `persist_filtration` reduces: its bitset columns take about
-# entries^2/16 bytes; `cech --pmax 1` on 64, 80 and 96 planar points (43744,
-# 85400 and 147536 entries) peaks at 167, 513 and 1437 MB resident.
-MAX_ENTRIES = 100_000
+# Most entries `persist_filtration` reduces.  Its coboundaries hold one
+# position per facet, so it grows with the filtration it is given:
+# `cech --pmax 1` on 128 and 181 planar points (349632 and 988441 entries)
+# peaks at 141 and 350 MB resident, the filtration included.
+MAX_ENTRIES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -137,49 +141,78 @@ class PersistenceDiagram:
 
 
 def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
-    """Diagram in every dimension <= pmax: GF(2) column reduction of the
-    boundary matrix of the (pmax+1)-skeleton.  Reduction adds a column
-    only to columns of its own dimension, so higher simplices cannot
-    change those pairs.  The facet pass that builds the columns checks
-    face-monotonicity (up to 1e-12) on every entry.  A skeleton of more
-    than MAX_ENTRIES entries raises InvalidInput before any column is
-    built."""
-    value = filt.value_of()
-    entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
-    if len(entries) > MAX_ENTRIES:
+    """Diagram in every dimension <= pmax: persistent cohomology with
+    clearing over the (pmax+1)-skeleton, which holds every pair of those
+    dimensions.  For p = 0 .. pmax the coboundary of each p-simplex is
+    reduced in reverse filtration order, its pivot the earliest cofacet;
+    a p-simplex that was a pivot at p-1 would reduce to zero and is
+    skipped (clearing).  The pairs equal those of homology.  The facet
+    pass that builds the coboundaries checks face-monotonicity (up to
+    1e-12) on every entry.
+    A skeleton of more than MAX_ENTRIES entries raises InvalidInput
+    before any coboundary is built."""
+    top = max(pmax + 1, 0)
+    size = sum(len(s) <= top + 1 for s, _ in filt.entries)
+    if size > MAX_ENTRIES:
         raise InvalidInput(
-            f"the {pmax + 1}-skeleton to reduce has {len(entries)} filtration entries, "
+            f"the {top}-skeleton to reduce has {size} filtration entries, "
             f"above the limit of {MAX_ENTRIES}"
         )
-    position = {s: i for i, (s, _) in enumerate(entries)}
+    value = dict(filt.entries)
+    layers: list[list] = [[] for _ in range(top + 1)]  # k -> its entries, in order
+    cofacets: dict = defaultdict(list)  # simplex -> its cofacets' positions in their layer
+    try:
+        for entry in filt.entries:
+            s, v = entry
+            k = len(s) - 1
+            if not k:
+                layers[0].append(entry)
+                continue
+            facets = itertools.combinations(s, k)
+            if k <= top:
+                facets = tuple(facets)
+            if max(map(value.__getitem__, facets)) > v + 1e-12:
+                raise InvalidInput("filtration is not face-monotone")
+            if k <= top:
+                j = len(layers[k])
+                layers[k].append(entry)
+                for f in facets:
+                    cofacets[f].append(j)
+    except KeyError:  # a missing facet
+        raise InvalidInput("filtration is not face-monotone") from None
 
-    columns: list[int] = []
-    for s, v in filt.entries:
-        facets = list(itertools.combinations(s, len(s) - 1)) if len(s) > 1 else []
-        if any(f not in value or value[f] > v + 1e-12 for f in facets):
-            raise InvalidInput("filtration is not face-monotone")
-        if len(s) <= pmax + 2:
-            columns.append(sum(1 << position[f] for f in facets))
-
-    low_of: dict[int, int] = {}  # low index -> column index
     dgm = PersistenceDiagram()
-    for j in range(len(entries)):
-        col = columns[j]
-        while col:
-            low = col.bit_length() - 1
-            if low not in low_of:
-                break
-            col ^= columns[low_of[low]]
-        columns[j] = col
-        if col:
-            low_of[low] = j
-            p = len(entries[low][0]) - 1
-            birth, death = entries[low][1], entries[j][1]
-            if p <= pmax and birth < death:
-                dgm.add(p, birth, death)
-    for j, (s, v) in enumerate(entries):
-        if not columns[j] and j not in low_of and len(s) <= pmax + 1:
-            dgm.add(len(s) - 1, v, INF)
+    cleared: dict = {}
+    for p in range(pmax + 1):
+        pivots: dict = {}  # cofacet position -> the reduced column whose pivot it is
+        above = layers[p + 1]
+        points = []
+        for i in range(len(layers[p]) - 1, -1, -1):
+            if i in cleared:
+                continue
+            s, birth = layers[p][i]
+            col = cofacets.get(s)
+            if col:
+                low = col[0]
+                if low in pivots:
+                    col = set(col)
+                    while True:
+                        col.symmetric_difference_update(pivots[low])
+                        if not col:
+                            break
+                        low = min(col)
+                        if low not in pivots:
+                            break
+            if col:
+                pivots[low] = col
+                death = above[low][1]
+                if birth < death:
+                    points.append((birth, death))
+            else:
+                points.append((birth, INF))
+        if points:
+            dgm.points[p] = points
+        cleared = pivots
     return dgm
 
 

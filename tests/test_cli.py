@@ -612,10 +612,10 @@ def test_filtration_entry_limit(capsys, monkeypatch, triangle_file, command, lim
 
 @pytest.mark.parametrize("command", ["cech", "completion"])
 def test_filtration_above_the_entry_limit_exits_before_building(tmp_path, command):
-    # 60 points at pmax 2 make 523685 entries, whose bitset columns would
-    # take about 17 GB; built, they end in a MemoryError under this cap.
-    path = tmp_path / "g60.txt"
-    np.savetxt(path, np.random.default_rng(3).standard_normal((60, 100)))
+    # 80 points at pmax 2 make 1666980 entries, above the limit: the command
+    # must refuse them before building any, so it exits well inside this cap.
+    path = tmp_path / "g80.txt"
+    np.savetxt(path, np.random.default_rng(3).standard_normal((80, 100)))
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -629,8 +629,31 @@ def test_filtration_above_the_entry_limit_exits_before_building(tmp_path, comman
         timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
-    assert "523685 filtration entries" in proc.stderr
+    assert "1666980 filtration entries" in proc.stderr
     assert f"limit of {homology.MAX_ENTRIES}" in proc.stderr
+
+
+def test_cech_past_the_old_entry_limit_gives_the_spanning_tree(capsys, tmp_path):
+    # 100 planar points at pmax 1 make 166750 entries, above the 100,000 the
+    # bitset engine took.  An edge enters Cech at half its length, so the H0
+    # deaths are half the minimum spanning tree's edge lengths (Prim's).
+    pts = np.random.default_rng(69).random((100, 2))
+    path = tmp_path / "u100.txt"
+    np.savetxt(path, pts)
+    code, rep = run(capsys, ["cech", str(path), "--pmax", "1"])
+    assert code == 0
+    h0 = next(b["points"] for b in rep["diagram"] if b["p"] == 0)
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    reach, tree, left = dist[0].copy(), [], set(range(1, len(pts)))
+    while left:
+        v = min(left, key=reach.__getitem__)
+        tree.append(reach[v])
+        left.remove(v)
+        reach = np.minimum(reach, dist[v])
+    assert [d for b, d in h0 if d == "inf"] == ["inf"]
+    assert all(b == 0.0 for b, _ in h0)
+    deaths = sorted(d for _, d in h0 if d != "inf")
+    assert deaths == pytest.approx(sorted(x / 2 for x in tree), rel=1e-12)
 
 
 @pytest.mark.parametrize(

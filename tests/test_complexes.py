@@ -235,15 +235,20 @@ def test_completion_idempotent_and_monotone_in_order():
 
 
 def test_completion_requires_full_skeleton():
+    missing = "missing part of its i-skeleton"
     filt = Filtration([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0)])
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=missing):
         completion(filt, 1, 2)
     # A missing face below dimension i is rejected too.
     no_vertex = Filtration(
         [((0,), 0.0), ((1,), 0.0)] + [(e, 1.0) for e in ((0, 1), (0, 2), (1, 2))]
     )
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=missing):
         completion(no_vertex, 1, 2)
+    # So is a missing i-simplex when every lower face is there.
+    no_triangle = cech_filtration(np.vstack([TRIANGLE, [0.0, 0.5]]), 2)
+    with pytest.raises(InvalidInput, match=missing):
+        completion(Filtration([e for e in no_triangle.entries if e[0] != (0, 1, 3)]), 2, 3)
 
 
 def test_sandwich_at_sqrt2_minus_one():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cechkit.complexes import Filtration, cech_filtration, completion, rips_filtration
+from cechkit.coreset import delta
 from cechkit.errors import InvalidInput
 from cechkit.homology import (
     INF,
@@ -675,12 +676,13 @@ def test_tower_matches_oracle_tower2d_workload():
 
 
 # ---------------------------------------------------------------------------
-# the persistence readout before it shared a pass with the reduction, kept
-# as its oracle; the walk's is conftest.ref_coned_filtration
+# the homology engine before cohomology replaced it, kept as its oracle; the
+# walk's is conftest.ref_coned_filtration
 
 def ref_persist(filt, pmax):
-    """Column reduction that records every low, then reads the pairs and
-    the unpaired simplices in two more loops."""
+    """Boundary-matrix column reduction of the (pmax+1)-skeleton, bitset
+    columns over global positions, that records every low, then reads the
+    pairs and the unpaired simplices in two more loops."""
     entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
     position = {s: i for i, (s, _) in enumerate(entries)}
     columns = [
@@ -730,6 +732,12 @@ def oracle_towers():
         yield random_vertex_map_tower(rng, births_at_zero=trial % 2 == 0, inclusions=True)
 
 
+def sorted_points(dgm):
+    """Each dimension's points as a sorted list, keyed by the dimensions
+    that have points: the diagram up to the order pairs were found in."""
+    return {p: sorted(pts) for p, pts in dgm.points.items()}
+
+
 def test_tower_walk_and_readout_match_their_two_pass_versions():
     # The walk at pmax emits the oracle's simplices of dimension <= pmax+1.
     for tower in oracle_towers():
@@ -738,7 +746,8 @@ def test_tower_walk_and_readout_match_their_two_pass_versions():
         for pmax in (0, 1, 2):
             coned = _coned_filtration(tower, pmax)
             assert coned == {s: v for s, v in ref.items() if len(s) <= pmax + 2}, pmax
-            assert tower_diagram(tower, pmax).points == ref_persist(filt, pmax).points, pmax
+            want = sorted_points(ref_persist(filt, pmax))
+            assert sorted_points(tower_diagram(tower, pmax)) == want, pmax
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -748,7 +757,29 @@ def test_persist_readout_matches_the_two_loop_version(seed):
     cech = cech_filtration(pts, 3)
     for filt in (cech, rips_filtration(pts, 3), completion(cech, 1, 3)):
         for pmax in range(3):
-            assert persist_filtration(filt, pmax).points == ref_persist(filt, pmax).points
+            want = sorted_points(ref_persist(filt, pmax))
+            assert sorted_points(persist_filtration(filt, pmax)) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_persist_matches_the_bitset_oracle_on_completion_hd(seed):
+    # Both filtrations of each completion_hd op: Cech on every simplex and
+    # its (delta-1)-completion, read at pmax 2 as the op reads them.
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["completion_hd"]
+    for index in range(len(wl.slots)):
+        args, _ = wl.inputs(seed, index)
+        pts = args["points"]
+        cech = cech_filtration(pts, len(pts) - 1)
+        comp = completion(cech, delta(args["eps"]) - 1, len(pts) - 1)
+        for filt in (cech, comp):
+            assert sorted_points(persist_filtration(filt, 2)) == sorted_points(ref_persist(filt, 2))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_persist_matches_the_bitset_oracle_on_planar_cech(n):
+    filt = cech_filtration(np.random.default_rng([68, n]).random((n, 2)), 2)
+    assert sorted_points(persist_filtration(filt, 1)) == sorted_points(ref_persist(filt, 1))
 
 
 # ---------------------------------------------------------------------------
