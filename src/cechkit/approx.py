@@ -5,7 +5,10 @@ theta_l = (1 + eps/2)^l; the complex is constant on each interval, so a
 tower evaluated at the theta values captures the whole module.  The
 complexes at the scales of one grid height are nested, so the tower
 holds one filtration per height, and the connecting map g joins two
-heights only.
+heights only.  `build_A` enumerates a height's complex at one scale and
+records, as it accepts each simplex, the first scale of the height at
+which the simplex is in, so a height is enumerated and valued in one
+pass.
 
 The complex at scale alpha is D_alpha (see `build_A`).  It equals the
 paper's projection of an eps/12-WSSD to the grid on every cloud checked,
@@ -92,6 +95,20 @@ def scale_params(alpha: float, eps: float, d: int) -> ScaleParams:
     return ScaleParams(eps, alpha, k, h)
 
 
+def _height_scales(params: ScaleParams, d: int) -> list[float]:
+    """theta_l for every l <= k_alpha whose grid height is h_alpha, in
+    ascending order: heights never decrease with l, so they are a run
+    ending at k_alpha.  Each l's height is worked out as in
+    `scale_params`."""
+    eps, ell = params.eps, params.k_alpha
+    while True:
+        x = eps * _theta(eps, ell - 1) / (3.0 * math.sqrt(d))  # 0 if theta underflows
+        if x == 0.0 or dyadic_height(x) != params.h_alpha:
+            break
+        ell -= 1
+    return [theta_value(eps, i) for i in range(ell, params.k_alpha + 1)]
+
+
 @dataclass
 class ApproxComplex:
     """Complex over the height-h_alpha grid cells at a fixed scale."""
@@ -103,6 +120,9 @@ class ApproxComplex:
     # over the cell unions of its faces of two or more cells ((0, 0) for a
     # vertex); None if not recorded
     values: dict | None = None
+    # simplex -> the first scale theta_l <= theta_k of its grid height at
+    # which it is in D; None if not recorded
+    entries: dict | None = None
 
     @property
     def h(self) -> int:
@@ -191,10 +211,13 @@ def _settle(t: tuple, bracket: tuple, theta: float, facets: list) -> tuple[float
 
 def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex:
     """D_alpha: the nonempty height-h_alpha cells, and every tuple of up to
-    wssd.kmax + 1 of them whose union has meb radius <= theta_{k_alpha}.
+    wssd.kmax + 1 of them whose union has meb radius <= theta_{k_alpha},
+    each with the first scale of its height at which it is in D.
 
     Sorted tuples grow one cell at a time and are tried only when all
-    their facets are in, so the complex is closed by construction.  A
+    their facets are in, so the complex is closed by construction; a
+    tuple of two or more cells grows only by a later cell that has an
+    edge to its last cell, as every other coface misses a face.  A
     simplex's value is the max of its union's radius and its facet
     values, so it lies in D at every theta_k >= its value.  Each simplex
     keeps a bracket [lo, hi] of its value instead (`_bracket`):
@@ -210,8 +233,13 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
     A tuple's union is solved (`meb_of_cells`) only at a theta in [lo, hi)
     (`_settle`).  A bracket is about s (sqrt(d) - 1)/2 < eps theta/6 wide
     for every theta of height h, under the scale step eps theta/2, so it
-    holds at most one of them: `build_A` and `build_tower`, which reads
-    the brackets of its complex, solve each tuple at most once.
+    holds at most one of them, and each tuple is solved at most once.
+    D only grows with theta inside one height, so a tuple accepted at
+    theta_k enters at the first of the height's scales (`_height_scales`)
+    that is at least its bracket's lo and its facets' entries and that
+    `_settle` admits; that scale is found as the tuple is accepted, with
+    its settled bracket, so a union solved at theta_k is not solved
+    again.  A vertex enters at the height's first scale.
     Only epsilon and kmax are read from the WSSD, which must be built at
     eps/12, so its tuples are never built here (see `build_wssd`).
     """
@@ -219,42 +247,53 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
         raise InvalidInput("WSSD must be built with parameter eps/12")
     params = _grid_params(qt, alpha, eps)
     h, theta_k = params.h_alpha, params.theta_k
+    thetas = _height_scales(params, qt.d)
 
     # The cells of a simplex are within 2 theta_k <= 2^top of each other,
     # so their ancestors at height `top` are equal or adjacent.
     top = dyadic_height(theta_k) + 2
     later = {}  # cell -> the larger cells in its own and adjacent buckets
     for a, group in qt.buckets(h, top).items():
-        near = qt.near(Cell(top, a), h)
+        near = sorted(qt.near(Cell(top, a), h))
         for c in group:
-            later[c] = sorted(x for x in near if x > c)
+            later[c] = near[bisect.bisect_right(near, c):]
 
     half = 0.5 * 2.0**h
     half_diag = half * math.sqrt(qt.d)
     values = {(c,): (0.0, 0.0) for c in later}
+    entries = dict.fromkeys(values, thetas[0])
+    up = {c: [] for c in later}  # cell -> the later cells it has an edge to
     layer = list(values)
     for _ in range(wssd.kmax):
         grown = []
         for s in layer:
-            for c in later[s[-1]]:
+            for c in later[s[0]] if len(s) == 1 else up[s[-1]]:
                 t = s + (c,)
                 try:
                     facets = [values[f] for f in itertools.combinations(t, len(s))]
                 except KeyError:  # a facet is not in
                     continue
                 bracket = _settle(t, _bracket(t, facets, half, half_diag), theta_k, facets)
-                if bracket is not None:
-                    values[t] = bracket
-                    grown.append(t)
+                if bracket is None:
+                    continue
+                values[t] = bracket
+                grown.append(t)
+                if len(t) == 2:
+                    up[s[0]].append(c)
+                faces = itertools.combinations(t, len(s))
+                j = bisect.bisect_left(thetas, max(bracket[0], *map(entries.__getitem__, faces)))
+                while thetas[j] < bracket[1] and _settle(t, bracket, thetas[j], facets) is None:
+                    j += 1
+                entries[t] = thetas[j]
         layer = grown
-    return ApproxComplex(alpha, params, SComplex(set(values)), values)
+    return ApproxComplex(alpha, params, SComplex(set(values)), values, entries)
 
 
 def map_g(a1: ApproxComplex, a2: ApproxComplex) -> VertexMap:
     """Connecting map: a grid cell goes to its ancestor at the coarser height."""
     if a1.alpha > a2.alpha:
         raise InvalidInput("map_g requires alpha1 <= alpha2")
-    mapping = {cell: qcell(cell, a2.h) for cell in a1.complex.vertices()}
+    mapping = {s[0]: qcell(s[0], a2.h) for s in a1.complex.simplices if len(s) == 1}
     return VertexMap(a1.complex, a2.complex, mapping)
 
 
@@ -300,36 +339,17 @@ def tower_scale_range(qt: Quadtree, eps: float) -> tuple[int, int]:
     return ell_min, ell_max
 
 
-def _entry_scales(top: ApproxComplex, thetas: list[float]) -> dict:
-    """Simplex of `top` -> the first of `thetas`, the scales of its height
-    in ascending order, at which `_settle` admits it once its facets are
-    in.  D grows with theta inside one height, so that is where the
-    simplex enters; a bracket holds at most one of the scales, so each
-    union is solved at most once, and none at a scale `build_A` solved."""
-    first: dict = {}  # simplex -> index into thetas
-    for s, bracket in top.values.items():  # faces first
-        if len(s) == 1:
-            first[s] = 0
-            continue
-        facets = list(itertools.combinations(s, len(s) - 1))
-        j = bisect.bisect_left(thetas, bracket[0], max([first[f] for f in facets]))
-        brackets = [top.values[f] for f in facets]
-        while thetas[j] < bracket[1] and _settle(s, bracket, thetas[j], brackets) is None:
-            j += 1
-        first[s] = j
-    return {s: thetas[j] for s, j in first.items()}
-
-
 def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]) -> Tower:
     """Tower of approximation complexes at scales theta_l for l in ell_range.
 
     The heights h_alpha never decrease with l, so the scales of one height
     form a run, over which D_alpha only grows.  Each run is one complex,
-    enumerated at its largest scale and valued at the scale each simplex
-    enters (`_entry_scales`); `map_g` links consecutive runs at the first
-    scale of the later one.  The first run's vertices enter at 0 when, one
-    per point, they alone are in at its first scale, since the module is
-    then constant on the whole interval (0, theta_{ell_min}].
+    one `build_A` at its largest scale, which values each simplex at the
+    scale it enters; `map_g` links consecutive runs at the first scale of
+    the later one.  Only the first run can start inside its height, so
+    its values are raised to its first scale.  Its vertices then enter at
+    0 when, one per point, they alone are in at that scale, since the
+    module is then constant on the whole interval (0, theta_{ell_min}].
     """
     ell_min, ell_max = ell_range
     if ell_max < ell_min:
@@ -344,16 +364,15 @@ def build_tower(qt: Quadtree, wssd: WSSD, eps: float, ell_range: tuple[int, int]
     theta_value(eps, ell_min), theta_value(eps, ell_max)
     # In ascending order, so a grid too fine is named at its smallest l.
     params = [_grid_params(qt, theta_value(eps, ell), eps) for ell in range(ell_min, ell_max + 1)]
-    tops, entries = [], []
-    for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
-        run = list(run)
-        tops.append(build_A(qt, wssd, run[-1].alpha, eps))
-        entries.append(_entry_scales(tops[-1], [p.theta_k for p in run]))
-    first = entries[0]
+    tops = [
+        build_A(qt, wssd, list(run)[-1].alpha, eps)
+        for _, run in itertools.groupby(params, key=lambda p: p.h_alpha)
+    ]
+    start = params[0].theta_k
+    first = {s: max(v, start) for s, v in tops[0].entries.items()}
     vertices = [s for s in first if len(s) == 1]
-    if len(vertices) == qt.cloud.n and all(
-        v > params[0].theta_k for s, v in first.items() if len(s) > 1
-    ):
+    if len(vertices) == qt.cloud.n and all(v > start for s, v in first.items() if len(s) > 1):
         first.update(dict.fromkeys(vertices, 0.0))
+    entries = [first] + [a.entries for a in tops[1:]]
     maps = [map_g(a, b) for a, b in zip(tops, tops[1:])]
     return Tower([Filtration(list(e.items())) for e in entries], maps)

@@ -10,8 +10,9 @@ reduces, after one facet pass that also checks every entry; above
 whole filtration before it starts.  A tower is a sequence of
 filtrations, each giving every simplex of one complex the scale at which
 it enters, linked by simplicial vertex maps.  ``tower_diagram`` turns it into one filtration
-with the same diagram by coning off each vertex collapse of each map;
-the same walk checks each map on the complex it relabels.
+with the same diagram by coning off each vertex collapse of each map,
+reading the two stars of a collapse from a vertex -> star index; the
+same walk checks each map on the complex it relabels.
 """
 
 from __future__ import annotations
@@ -251,12 +252,17 @@ def _coned_filtration(tower: Tower, pmax: int) -> dict:
     current complex (Dey, Fan and Wang 2014); the vertex with the larger
     star survives, which keeps the filtration near-linear in the tower's
     size (Kerber and Schreiber 2019).  Only faces of dimension <= pmax
-    are coned, since a cone over a k-face is a (k+1)-simplex.  The next
-    complex is then relabelled to integers: an image vertex takes the id
-    of its fibre's survivor and a new vertex a fresh id, so no later
-    vertex reuses the id of a removed one.  The collapsed complex is the
-    map's image, so the map is simplicial iff that image lies in the part
-    of the relabelled complex that enters at the map's scale; the current
+    are coned, each face once however many simplices of the star hold
+    it, since a cone over a k-face is a (k+1)-simplex.  Before a map's
+    collapses the stars in the current complex of every vertex whose fibre
+    has more than one member are indexed, and each collapse reads its two
+    stars there and renames u to v in the complex and the index, so it
+    costs the size of its stars, not of the complex.  The next complex is
+    then relabelled to integers: an image vertex takes the id of its
+    fibre's survivor and a new vertex a fresh id, so no later vertex
+    reuses the id of a removed one.  The collapsed complex is the map's
+    image, so the map is simplicial iff that image lies in the part of
+    the relabelled complex that enters at the map's scale; the current
     complex keeps every simplex, whatever pmax, for that check.  Each
     simplex then enters at its own value, unless a cone put it in first.
     """
@@ -271,22 +277,40 @@ def _coned_filtration(tower: Tower, pmax: int) -> dict:
         for x in sorted(ids):
             fibres.setdefault(mapping[x], []).append(ids[x])
         ids = {}
+        # vertex of a fibre of more than one member -> its star in current
+        star = {x: set() for f in fibres.values() if len(f) > 1 for x in f}
+        if star:
+            for s in current:
+                for x in s:
+                    if x in star:
+                        star[x].add(s)
         for w, (v, *rest) in fibres.items():
             for u in rest:
-                star_u = [s for s in current if u in s]
-                star_v = [s for s in current if v in s]
-                if len(star_u) > len(star_v):
-                    u, v, star_u = v, u, star_v
+                if len(star[u]) > len(star[v]):
+                    u, v = v, u
+                star_u = star.pop(u)
+                faces = {
+                    face
+                    for s in star_u
+                    for k in range(1, min(len(s), pmax + 1) + 1)
+                    for face in itertools.combinations(s, k)
+                }
+                for face in faces:
+                    value.setdefault(tuple(sorted({*face, v})), scale)
+                star_v = star[v]
                 for s in star_u:
-                    for k in range(1, min(len(s), pmax + 1) + 1):
-                        for face in itertools.combinations(s, k):
-                            value.setdefault(tuple(sorted({*face, v})), scale)
-                current.difference_update(star_u)
-                current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
+                    t = tuple(sorted({v if x == u else x for x in s}))
+                    current.discard(s)
+                    current.add(t)
+                    star_v.add(t)
+                    for x in s:
+                        if x != u and x in star:
+                            star[x].discard(s)
+                            star[x].add(t)
             ids[w] = v
         for x in sorted({x for s, _ in K.entries for x in s}.difference(ids)):
             ids[x] = next(fresh)
-        new = {tuple(sorted(ids[x] for x in s)): v for s, v in K.entries}
+        new = {tuple(sorted(map(ids.__getitem__, s))): v for s, v in K.entries}
         if any(new.get(s, INF) > scale for s in current):
             raise InvalidInput("map is not simplicial")
         current = set(new)

@@ -8,7 +8,8 @@ dictionary per height, built lazily for any height, negative ones too
 the nonempty height-h cells bucketed by their ancestor at height H,
 serves every neighbourhood query: a cell's children are its (h-1, h)
 bucket, and the cells near an anchor are its bucket and its 3^d - 1
-neighbours' buckets.
+neighbours' buckets, probed by key or, when fewer buckets are nonempty
+than that, found by a scan of the nonempty ones.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class Quadtree:
     def level(self, h: int) -> dict[tuple[int, ...], list[int]]:
         if h not in self._levels:
             lev: dict[tuple[int, ...], list[int]] = {}
-            for i, x in enumerate(self.cloud.points):
+            for i, x in enumerate(self.cloud.points.tolist()):
                 lev.setdefault(cell_index_of(x, h), []).append(i)
             self._levels[h] = lev
         return self._levels[h]
@@ -189,8 +190,18 @@ class Quadtree:
 
     def near(self, anchor: Cell, h: int) -> list[Cell]:
         """Nonempty height-h cells whose ancestor at anchor.height is the
-        anchor or one of its 3^d - 1 neighbours."""
+        anchor or one of its 3^d - 1 neighbours, in no set order.  It
+        probes the 3^d keys around the anchor, or, when fewer buckets
+        than that are nonempty, scans them for keys within 1 of the
+        anchor on every axis, so its cost is at most the smaller count."""
         buckets, a = self.buckets(h, anchor.height), anchor.index
+        if len(buckets) < 3**self.d:
+            return [
+                c
+                for key, group in buckets.items()
+                if all(-1 <= i - j <= 1 for i, j in zip(key, a))
+                for c in group
+            ]
         offsets = itertools.product((-1, 0, 1), repeat=self.d)
         return [c for o in offsets for c in buckets.get(tuple(map(sum, zip(a, o))), ())]
 

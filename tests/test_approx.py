@@ -1,5 +1,6 @@
 """Grid approximation complexes and the maps connecting them."""
 
+import bisect
 import itertools
 import math
 
@@ -21,7 +22,7 @@ from cechkit.approx import (
     theta_value,
     tower_scale_range,
 )
-from cechkit.complexes import cech_filtration
+from cechkit.complexes import Filtration, cech_filtration
 from cechkit.diagram import bottleneck_log
 from cechkit.errors import InvalidInput
 from cechkit.geometry import meb, meb_of_cells
@@ -446,6 +447,74 @@ def test_one_complex_per_height_and_the_walk_match_the_per_scale_tower(monkeypat
         for pmax in (0, 1):
             want = {s: v for s, v in coned.items() if len(s) <= pmax + 2}
             assert _coned_filtration(tower, pmax) == want, pmax
+
+
+def ref_entry_scales(top, thetas):
+    """Simplex of `top` -> the first of `thetas`, the scales of its height
+    in ascending order, at which `_settle` admits it once its facets are
+    in: a second pass over the simplices `build_A` enumerated."""
+    settle = approx_module._settle
+    first = {}  # simplex -> index into thetas
+    for s, bracket in top.values.items():  # faces first
+        if len(s) == 1:
+            first[s] = 0
+            continue
+        facets = list(itertools.combinations(s, len(s) - 1))
+        j = bisect.bisect_left(thetas, bracket[0], max([first[f] for f in facets]))
+        brackets = [top.values[f] for f in facets]
+        while thetas[j] < bracket[1] and settle(s, bracket, thetas[j], brackets) is None:
+            j += 1
+        first[s] = j
+    return {s: thetas[j] for s, j in first.items()}
+
+
+def ref_tower_filtrations(qt, dec, eps, ell_range):
+    """build_tower's filtrations from one build_A per run of a height's
+    scales in the range, each simplex valued over the run's scales alone;
+    the first run's vertices enter at 0 when, one per point, they alone
+    are in at its first scale."""
+    params = [approx_module._grid_params(qt, theta, eps) for theta in thetas(eps, ell_range)]
+    entries = []
+    for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
+        run = list(run)
+        top = build_A(qt, dec, run[-1].alpha, eps)
+        entries.append(ref_entry_scales(top, [p.theta_k for p in run]))
+    first = entries[0]
+    vertices = [s for s in first if len(s) == 1]
+    if len(vertices) == qt.cloud.n and all(
+        v > params[0].theta_k for s, v in first.items() if len(s) > 1
+    ):
+        first.update(dict.fromkeys(vertices, 0.0))
+    return [Filtration(list(e.items())).entries for e in entries]
+
+
+def test_entry_scales_recorded_by_build_A_match_the_second_pass():
+    # On tower2d seeds 0-7, the clouds of acceptance criterion 5, clouds
+    # in R^3, and ranges that start inside a height (where only the
+    # first run's values are raised to its first scale): every filtration
+    # equals the one valued over each run's scales after the build.
+    wl = bench_module("workloads").WORKLOADS["tower2d"]
+    cases = [wl.inputs(seed, index)[0] for seed in range(8) for index in range(len(wl.slots))]
+    rng = np.random.default_rng(1005)
+    for trial in range(10):
+        eps = 0.25 if trial % 2 == 0 else 0.5
+        cases.append({"points": random_cloud(rng, int(rng.integers(5, 11)), 2), "eps": eps})
+    rng = np.random.default_rng(86)
+    for eps in (0.25, 0.5):
+        cases += [{"points": random_cloud(rng, 8, 3), "eps": eps} for _ in range(2)]
+    inside = 0
+    for args in cases:
+        eps = args["eps"]
+        qt, dec = make(args["points"], eps)
+        lo, hi = tower_scale_range(qt, eps)
+        for ell_min in range(lo, hi + 1, 3):
+            tower = build_tower(qt, dec, eps, (ell_min, hi))
+            assert [K.entries for K in tower.complexes] == ref_tower_filtrations(
+                qt, dec, eps, (ell_min, hi)
+            ), (ell_min, hi)
+            below, at = (scale_params(theta_value(eps, l), eps, qt.d) for l in (ell_min - 1, ell_min))
+            inside += below.h_alpha == at.h_alpha
+    assert inside > len(cases)
 
 
 @st.composite

@@ -81,3 +81,24 @@ def test_traced_tower_ops_solve_few_cell_unions():
             parent = parent_of[parent]
         solves[op] += parent >= 0
     assert max(solves.values()) <= 10, solves
+
+
+def test_traced_tower_op_has_one_build_A_span_per_complex():
+    # The per-layer view charges each height's enumeration and entry
+    # scales to its approx.build_A span: one span per tower complex, whose
+    # simplex counts add up to the tower's.
+    W = bench_module("workloads")
+    T = bench_module("tracing")
+    tracer = T.Tracer()
+    tracer.install()
+    try:
+        args, _ = W.WORKLOADS["tower2d"].inputs(0, 0)
+        tracer.begin_op(0)
+        tower = W.op_tower(**args)[1]
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert len(tower.complexes) > 1
+    assert tracer.per_op()[0]["approx.build_A"][0] == len(tower.complexes)
+    counts = tracer.counts[0]["approx.simplices"]
+    assert sum(counts) == sum(len(K.entries) for K in tower.complexes)

@@ -341,6 +341,18 @@ def test_validate_32_points_is_fast(capsys, tmp_path):
     assert rep["ok"]
 
 
+def test_wssd_in_r12_is_fast(capsys, tmp_path):
+    # A grid query probed all 3^12 neighbour buckets of its anchor, though
+    # twelve points fill few of them: about a minute on a 2-core host.
+    path = tmp_path / "pts.txt"
+    np.savetxt(path, np.random.default_rng(5).standard_normal((12, 12)))
+    t0 = time.perf_counter()
+    code, rep = run(capsys, ["wssd", str(path)])
+    assert time.perf_counter() - t0 < 15.0
+    assert code == 0
+    assert rep["sizes"]["gamma_1"] >= 1
+
+
 def test_compare(capsys, tmp_path, triangle_file):
     for name, scale in (("a.json", 1.0), ("b.json", 1.1)):
         obj = [{"p": 1, "points": [[1.0 * scale, 2.0 * scale]]}]

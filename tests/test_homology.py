@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from cechkit.approx import build_tower, tower_scale_range
 from cechkit.complexes import Filtration, cech_filtration, completion, rips_filtration
 from cechkit.coreset import delta
 from cechkit.errors import InvalidInput
@@ -22,6 +23,8 @@ from cechkit.homology import (
     persist_filtration,
     tower_diagram,
 )
+from cechkit.quadtree import build, normalize
+from cechkit.wssd import build_wssd
 
 from conftest import (
     TRIANGLE,
@@ -748,6 +751,79 @@ def test_tower_walk_and_readout_match_their_two_pass_versions():
             assert coned == {s: v for s, v in ref.items() if len(s) <= pmax + 2}, pmax
             want = sorted_points(ref_persist(filt, pmax))
             assert sorted_points(tower_diagram(tower, pmax)) == want, pmax
+
+
+def ref_coned_scan(tower, pmax):
+    """`_coned_filtration` before its star index: each collapse scans the
+    whole current complex for its two stars and cones every face of the
+    smaller star, repeats included."""
+    value, ids, fresh, current = {}, {}, itertools.count(), set()
+    for i, K in enumerate(tower.complexes):
+        scale = K.entries[0][1] if K.entries else 0.0
+        mapping = tower.maps[i - 1].mapping if i > 0 else {}
+        fibres = {}
+        for x in sorted(ids):
+            fibres.setdefault(mapping[x], []).append(ids[x])
+        ids = {}
+        for w, (v, *rest) in fibres.items():
+            for u in rest:
+                star_u = [s for s in current if u in s]
+                star_v = [s for s in current if v in s]
+                if len(star_u) > len(star_v):
+                    u, v, star_u = v, u, star_v
+                for s in star_u:
+                    for k in range(1, min(len(s), pmax + 1) + 1):
+                        for face in itertools.combinations(s, k):
+                            value.setdefault(tuple(sorted({*face, v})), scale)
+                current.difference_update(star_u)
+                current.update(tuple(sorted({v if x == u else x for x in s})) for s in star_u)
+            ids[w] = v
+        for x in sorted({x for s, _ in K.entries for x in s}.difference(ids)):
+            ids[x] = next(fresh)
+        new = {tuple(sorted(ids[x] for x in s)): v for s, v in K.entries}
+        if any(new.get(s, INF) > scale for s in current):
+            raise InvalidInput("map is not simplicial")
+        current = set(new)
+        for s, v in new.items():
+            if len(s) <= pmax + 2:
+                value.setdefault(s, v)
+    return value
+
+
+def many_member_fibre_towers(rng):
+    """Towers whose one map sends most vertices of a complex to one vertex,
+    so many collapses rename a simplex onto one the complex already holds:
+    the 2-skeleton of the 8-simplex, and random complexes on 6 to 10
+    vertices with stars of unequal sizes."""
+    complexes = [closure(itertools.combinations(range(9), 3))]
+    complexes += [_random_complex(rng, list(range(n))) for n in (6, 8, 10, 10)]
+    for K in complexes:
+        verts = K.vertices()
+        mapping = {x: 100 if x < len(verts) - 1 else 101 for x in verts}
+        image = {tuple(sorted({mapping[x] for x in s})) for s in K.simplices}
+        L = SComplex(image | {(102,), (101, 102)})
+        yield scale_tower([K, L], [VertexMap(K, L, mapping)], [0.5, 1.0])
+
+
+def test_star_index_walk_matches_the_scan_walk():
+    # The walk's star index and deduplicated cones give the filtration of
+    # the walk that scans the whole complex for each star, dict for dict.
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["tower2d"]
+    towers = list(oracle_towers())
+    for seed in range(8):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            towers.append(W.op_tower(**args)[1])
+    rng = np.random.default_rng(3)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 128)
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    qt = build(normalize(circle + 0.02 * rng.standard_normal((128, 2))))
+    towers.append(build_tower(qt, build_wssd(qt, 0.5 / 12.0, 2), 0.5, tower_scale_range(qt, 0.5)))
+    towers += many_member_fibre_towers(np.random.default_rng(69))
+    for tower in towers:
+        for pmax in (0, 1, 2):
+            assert _coned_filtration(tower, pmax) == ref_coned_scan(tower, pmax), pmax
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,5 +1,6 @@
 """Normalization, quadtree levels, ancestors, grid queries."""
 
+import itertools
 import math
 import sys
 
@@ -257,6 +258,34 @@ def test_near_matches_ancestor_bruteforce():
                         if max(abs(i - j) for i, j in zip(qcell(c, H).index, anchor.index)) <= 1
                     ]
                     assert sorted(qt.near(anchor, h)) == want
+
+
+def ref_near(qt, anchor, h):
+    """`Quadtree.near` by its definition: the buckets at the 3^d offsets."""
+    buckets = qt.buckets(h, anchor.height)
+    return [
+        c
+        for o in itertools.product((-1, 0, 1), repeat=qt.d)
+        for c in buckets.get(tuple(i + j for i, j in zip(anchor.index, o)), ())
+    ]
+
+
+def test_near_scan_of_few_buckets_matches_the_offset_probe():
+    # With fewer nonempty buckets than 3^d, near scans the buckets instead
+    # of probing the offsets; as sorted lists the two agree.
+    rng = np.random.default_rng(18)
+    scans = 0
+    for d in range(1, 7):
+        qt = build(normalize(random_cloud(rng, 10, d)))
+        for h in range(-1, qt.L + 1):
+            for H in range(h, qt.L + 2):
+                scans += len(qt.buckets(h, H)) < 3**d
+                anchors = [qcell(c, H) for c in cells_at(qt, h)[:3]]
+                top = 2 ** max(qt.L - H, 0)
+                anchors += [Cell(H, tuple(int(i) for i in rng.integers(-1, top + 1, size=d)))]
+                for anchor in anchors:
+                    assert sorted(qt.near(anchor, h)) == sorted(ref_near(qt, anchor, h))
+    assert scans > 0
 
 
 # numpy copies of the per-cell geometry before it moved to Python floats;
