@@ -7,10 +7,17 @@ vertex labels; for point clouds the labels are point ids.  One
 completion rule, `_complete`, builds Rips (the 1-completion of the edge
 lengths), `completion`, and Cech above dimension d (the d-completion of
 its d-skeleton).
+
+The builders value one dimension (layer) at a time on numpy arrays: a
+layer's values, and for Cech its balls, sit in arrays in
+`itertools.combinations` order, and one facet table, read in blocks of
+at most `_BLOCK` floats, gives the position of each simplex's facets in
+the layer below.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import TAU_GEOM, _as_points, _pivot, _row_distances, circumball, covers
+from .geometry import _WELZL_SLACK, TAU_GEOM, _as_points, _norms, _pivot, _row_distances, circumball
+
+# Largest block of a layer, in floats (or facet positions), so that memory
+# stays bounded when d is large; the values do not depend on it.
+_BLOCK = 1 << 18
+# Largest layer, in vertex slots, whose facet table is cached.
+_SMALL = 1 << 12
 
 
 def _entry_key(entry):
@@ -46,66 +59,189 @@ class Filtration:
         return {s for s, v in self.entries if v <= alpha + tol}
 
 
-def _complete(values, vertices, i: int, kmax: int) -> Filtration:
-    """Keep `values` up to dimension i (it must hold every such simplex)
-    and put each higher simplex, up to kmax, at the max of its facet
-    values, which is exactly the max over its i-faces: the i-completion.
+def _layer_blocks(m: int, k: int, width: int):
+    """The k-simplices on vertices 0..m-1 in `itertools.combinations` order,
+    in blocks of max(1, _BLOCK // width) simplices.  Each block is a pair
+    (S, F): S holds the simplices' vertices, one row each, and F[r, j] is
+    the position of facet j of S[r] (S[r] without S[r, j]) among the
+    (k-1)-simplices.  A layer of at most _SMALL vertex slots that fits one
+    block comes from a bounded cache.
     """
-    top = min(kmax, len(vertices) - 1)
-    entries = [(s, v) for s, v in values.items() if len(s) <= min(i, top) + 1]
-    layer = {s: v for s, v in entries if len(s) == i + 1}
-    for k in range(i + 1, top + 1):
-        layer = {
-            s: max(map(layer.__getitem__, itertools.combinations(s, k)))
-            for s in itertools.combinations(vertices, k + 1)
-        }
-        entries.extend(layer.items())
+    size = max(1, _BLOCK // width)
+    count = math.comb(m, k + 1)
+    if count <= size and count * (k + 1) <= _SMALL:
+        yield _small_layer(m, k)
+        return
+    binom = _binomials(m, k)
+    simplices = itertools.chain.from_iterable(itertools.combinations(range(m), k + 1))
+    while True:
+        S = np.fromiter(itertools.islice(simplices, size * (k + 1)), dtype=np.intp)
+        if not S.size:
+            return
+        S = S.reshape(-1, k + 1)
+        yield S, _facet_table(S, m, binom)
+
+
+@functools.lru_cache(maxsize=128)
+def _small_layer(m: int, k: int):
+    """The whole layer as one (S, F) block, read-only, since it is shared."""
+    S = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k + 1)), np.intp)
+    S = S.reshape(-1, k + 1)
+    F = _facet_table(S, m, _binomials(m, k))
+    S.flags.writeable = F.flags.writeable = False
+    return S, F
+
+
+def _binomials(m: int, k: int) -> np.ndarray:
+    """binom[a, b] = C(a, b) for a < m and b <= k."""
+    binom = np.ones((m, k + 1), dtype=np.int64)
+    for b in range(1, k + 1):
+        binom[0, b] = 0
+        binom[1:, b] = np.cumsum(binom[:-1, b - 1])  # C(a, b) = sum of C(j, b-1), j < a
+    return binom
+
+
+def _facet_table(S: np.ndarray, m: int, binom: np.ndarray) -> np.ndarray:
+    """F[r, j]: the position of S[r] without S[r, j] among the
+    (k-1)-simplices on m vertices, its rank in the combinatorial number
+    system: c_0 < ... < c_{k-1} sits at C(m, k) - 1 - sum_t C(m-1-c_t, k-t).
+    Vertex q is element q of the facets j > q and element q-1 of the
+    facets j < q, so the terms of q < j and of q > j are running sums."""
+    k = S.shape[1] - 1
+    R = m - 1 - S.T
+    F = np.empty((k + 1, S.shape[0]), dtype=np.int64)
+    F[0] = math.comb(m, k) - 1
+    for j in range(1, k + 1):
+        F[j] = F[j - 1] - binom[R[j - 1], k + 1 - j]
+    later = 0
+    for j in range(k - 1, -1, -1):
+        later = later + binom[R[j + 1], k - j]
+        F[j] -= later
+    return F.T
+
+
+def _complete(entries: list, layer: np.ndarray, vertices, i: int, kmax: int) -> Filtration:
+    """The i-completion up to kmax: `entries` hold every simplex on
+    `vertices` up to dimension i, and `layer` the i-simplices' values in
+    `itertools.combinations(vertices, i + 1)` order.  Each higher layer is
+    the max of its facet values, which is exactly the max over its
+    i-faces; max rounds nothing, so the values are those of a per-simplex
+    loop bit for bit.
+    """
+    m = len(vertices)
+    for k in range(i + 1, min(kmax, m - 1) + 1):
+        layer = np.concatenate([layer[F].max(axis=1) for _, F in _layer_blocks(m, k, k + 1)])
+        entries.extend(zip(itertools.combinations(vertices, k + 1), layer.tolist()))
     return Filtration(entries)
 
 
 def cech_filtration(points, kmax: int) -> Filtration:
     """Filtration value of each simplex is the meb radius of its vertices.
 
-    Simplices up to dimension d are solved dimension by dimension,
-    keeping each one's ball (center and value).  Facet inheritance: if
-    the ball of some facet contains the opposite vertex (up to the Welzl
-    slack), that ball encloses the whole simplex and, being the facet's
-    meb, is also the simplex's meb, so the simplex takes it without a
-    solve.  Otherwise every vertex is a support point, and the meb is
-    the circumball of all k+1 vertices; a degenerate circumball solve
-    falls back to `meb`'s pivot loop.  Each value is finally raised to the
-    largest facet value: rounding, and inheriting a ball that holds its
-    vertex only up to the slack, could otherwise leave a facet a hair
-    above its coface.  Above dimension d a meb has at most d+1 support
-    points, so Cech is the d-completion of its d-skeleton (`_complete`).
+    Simplices up to dimension d are solved a dimension at a time, keeping
+    each one's ball (center and value) in arrays for the next dimension;
+    the top dimension solved keeps none.  An edge's ball is exact: center
+    a + (b - a)/2 and value math.dist(a, b)/2.  Above that, facet
+    inheritance: if the ball of some facet contains the opposite vertex
+    (up to the Welzl slack), that ball encloses the whole simplex and,
+    being the facet's meb, is also the simplex's meb, so the simplex takes
+    the first such ball in facet order without a solve.  Otherwise every
+    vertex is a support point, and the meb is the circumball of all k+1
+    vertices (`_all_support_balls`, one batched solve per block).  Each
+    value is finally raised to the largest facet value: rounding, and
+    inheriting a ball that holds its vertex only up to the slack, could
+    otherwise leave a facet a hair above its coface.  Above dimension d a
+    meb has at most d+1 support points, so Cech is the d-completion of its
+    d-skeleton (`_complete`).
     """
     pts = _as_points(points)
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
-    n, d = pts.shape
-    rows = [tuple(p) for p in pts.tolist()]
-    # simplex -> (center, value), for the dimension last solved only; the
-    # top dimension solved keeps none, since no coface reads them
-    balls: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {
-        (i,): (rows[i], 0.0) for i in range(n)
-    }
-    values = {s: 0.0 for s in balls}
-    top = min(kmax, n - 1, d)
+    n = pts.shape[0]
+    entries = [((i,), 0.0) for i in range(n)]
+    centers, values = pts, np.zeros(n)
+    top = min(kmax, n - 1, pts.shape[1])
     for k in range(1, top + 1):
-        prev, balls = balls, {}
-        for simplex in itertools.combinations(range(n), k + 1):
-            facets = [simplex[:j] + simplex[j + 1 :] for j in range(k + 1)]
-            for facet, opposite in zip(facets, simplex):
-                if covers(*prev[facet], rows[opposite]):
-                    ball = prev[facet]
-                    break
-            else:
-                ball = _all_support_ball([rows[i] for i in simplex])
-            value = max(ball[1], max(prev[f][1] for f in facets))
-            if k < top:
-                balls[simplex] = (ball[0], value)
-            values[simplex] = value
-    return _complete(values, range(n), d, kmax)
+        centers, values = _cech_layer(pts, k, centers, values, k < top)
+        entries.extend(zip(itertools.combinations(range(n), k + 1), values.tolist()))
+    return _complete(entries, values, range(n), top, kmax)
+
+
+def _cech_layer(pts, k: int, centers, values, keep: bool):
+    """Balls of the k-simplices, from those of the (k-1)-simplices: their
+    centers (None unless `keep`) and values, in combinations order."""
+    n, d = pts.shape
+    layer_centers, layer_values = [], []
+    for S, F in _layer_blocks(n, k, (k + 1) * d):
+        if k == 1:
+            a, b = pts[S[:, 0]], pts[S[:, 1]]
+            c = a + 0.5 * (b - a)
+            v = np.array([0.5 * math.dist(p, q) for p, q in zip(a.tolist(), b.tolist())])
+        else:
+            c, v = _facet_or_support_balls(pts[S], centers[F], values[F])
+        layer_values.append(v)
+        if keep:
+            layer_centers.append(c)
+    return (np.concatenate(layer_centers) if keep else None), np.concatenate(layer_values)
+
+
+def _dists(X: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, each row scaled by a power of two
+    before squaring (`geometry._norms`)."""
+    return _norms(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+
+
+def _facet_or_support_balls(P, C, fv):
+    """Balls and values of a block of simplices, vertices P (B, k+1, d),
+    from the balls of their facets: facet j (vertex j dropped) has center
+    C[:, j] and value fv[:, j]."""
+    covered = _dists(P - C) <= fv * (1.0 + _WELZL_SLACK)
+    centers = C[np.arange(len(P)), covered.argmax(axis=1)]
+    values = fv.max(axis=1)
+    solve = np.flatnonzero(~covered.any(axis=1))
+    if solve.size:
+        centers[solve], radii = _all_support_balls(P[solve])
+        values[solve] = np.maximum(values[solve], radii)
+    return centers, values
+
+
+def _solve_stack(G, rhs):
+    """Solve each system G[b] x = rhs[b]; a singular one gives NaNs
+    without failing the others (numpy refuses the whole stack, so a
+    failed stack is halved until the singular systems stand alone)."""
+    try:
+        return np.linalg.solve(G, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.full_like(rhs, np.nan)
+        h = len(G) // 2
+        return np.concatenate([_solve_stack(G[:h], rhs[:h]), _solve_stack(G[h:], rhs[h:])])
+
+
+def _all_support_balls(P):
+    """Meb of each simplex in P (B, k+1, d), k <= d, none of whose facet
+    balls holds the opposite vertex: the circumball, as `circumball`
+    solves it, batched.  The Gram system (V V^T) lambda = diag(V V^T) / 2
+    of the offsets V from the first vertex is formed from V scaled by the
+    power of two of its largest entry, and every distance is scaled
+    likewise (`_dists`), so nothing under- or overflows.  A singular,
+    non-finite or huge lambda, or a circumball with a vertex off its sphere
+    by more than radius * TAU_GEOM, goes to the scalar `_all_support_ball`.
+    """
+    V = P[:, 1:] - P[:, :1]
+    _, e = np.frexp(np.abs(V).max(axis=(1, 2)))
+    W = np.ldexp(V, -e[:, None, None])
+    G = W @ W.transpose(0, 2, 1)
+    lam = _solve_stack(G, 0.5 * np.diagonal(G, axis1=1, axis2=2))
+    ok = (np.abs(lam) <= 2.0**64).all(axis=1)  # also false on NaN; bounds the center
+    lam[~ok] = 0.0
+    centers = P[:, 0] + (lam[:, None, :] @ V)[:, 0]
+    dist = _dists(P - centers[:, None, :])
+    radii = dist.max(axis=1)
+    ok &= radii - dist.min(axis=1) <= radii * TAU_GEOM
+    for b in np.flatnonzero(~ok):
+        centers[b], radii[b] = _all_support_ball([tuple(r) for r in P[b].tolist()])
+    return centers, radii
 
 
 def _all_support_ball(vertices: list[tuple[float, ...]]):
@@ -130,10 +266,11 @@ def rips_filtration(points, kmax: int) -> Filtration:
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n = pts.shape[0]
-    values = {(i,): 0.0 for i in range(n)}
-    for i, row in enumerate(_row_distances(pts)):
-        values.update(((i, j), float(v)) for j, v in enumerate(row, start=i + 1))
-    return _complete(values, range(n), 1, kmax)
+    entries = [((i,), 0.0) for i in range(n)]
+    layer = np.concatenate([np.empty(0), *_row_distances(pts)])
+    if kmax >= 1:
+        entries.extend(zip(itertools.combinations(range(n), 2), layer.tolist()))
+    return _complete(entries, layer, range(n), 1, kmax)
 
 
 def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
@@ -152,7 +289,12 @@ def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
     for k in range(min(i, n - 1) + 1):
         if not all(map(values.__contains__, itertools.combinations(vertices, k + 1))):
             raise InvalidInput("input filtration is missing part of its i-skeleton")
-    return _complete(values, vertices, i, kmax)
+    top = min(i, kmax, n - 1)
+    entries = [(s, v) for s, v in values.items() if len(s) <= top + 1]
+    if top == min(kmax, n - 1):
+        return Filtration(entries)
+    layer = np.fromiter(map(values.__getitem__, itertools.combinations(vertices, i + 1)), float)
+    return _complete(entries, layer, vertices, i, kmax)
 
 
 @dataclass

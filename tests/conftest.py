@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import os
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 
 from cechkit.complexes import Filtration
 from cechkit.errors import InvalidInput
+from cechkit.geometry import TAU_GEOM, circumball, covers, meb
 from cechkit.homology import SComplex, Tower, VertexMap
 from cechkit.quadtree import Cell, cell_index_of
 
@@ -84,6 +86,56 @@ def bench_module(name):
         sys.modules[key] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+# ---------------------------------------------------------------------------
+# the per-simplex routes of the filtration builders
+
+
+def ref_completion(filt, i, kmax):
+    """Each simplex above dimension i at the max over all its i-faces."""
+    values = filt.value_of()
+    vertices = sorted({v for s in values for v in s})
+    entries = []
+    for k in range(min(kmax, len(vertices) - 1) + 1):
+        for s in itertools.combinations(vertices, k + 1):
+            if k <= i:
+                entries.append((s, values[s]))
+            else:
+                entries.append((s, max(values[f] for f in itertools.combinations(s, i + 1))))
+    return Filtration(entries)
+
+
+def ref_cech(pts, kmax):
+    """Facet-ball inheritance in every dimension, with a circumball solve
+    for k <= d and a Welzl fallback (also for k > d)."""
+    n, d = pts.shape
+    rows = [tuple(p) for p in pts.tolist()]
+    balls = {(i,): (rows[i], 0.0) for i in range(n)}
+    entries = [(s, 0.0) for s in balls]
+    for k in range(1, min(kmax, n - 1) + 1):
+        prev, balls = balls, {}
+        for s in itertools.combinations(range(n), k + 1):
+            facets = [s[:j] + s[j + 1 :] for j in range(k + 1)]
+            for facet, opposite in zip(facets, s):
+                if covers(*prev[facet], rows[opposite]):
+                    ball = prev[facet]
+                    break
+            else:
+                vertices = [rows[i] for i in s]
+                ball = None
+                if k <= d:
+                    center, radius = circumball(vertices)
+                    nearest = min(math.dist(center, v) for v in vertices)
+                    if radius - nearest <= radius * TAU_GEOM + 1e-12:
+                        ball = (center, radius)
+                if ball is None:
+                    res = meb(vertices)
+                    ball = (res.ball.center, res.radius)
+            value = max(ball[1], max(prev[f][1] for f in facets))
+            balls[s] = (ball[0], value)
+            entries.append((s, value))
+    return Filtration(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from cechkit import homology
+from cechkit import coreset, diagram, homology
 
-from conftest import bench_module
+from conftest import bench_module, ref_cech, ref_completion
 
 
 @pytest.mark.parametrize("name", ["tower2d", "wssd_scale", "completion_hd", "compare"])
@@ -102,3 +102,49 @@ def test_traced_tower_op_has_one_build_A_span_per_complex():
     assert tracer.per_op()[0]["approx.build_A"][0] == len(tower.complexes)
     counts = tracer.counts[0]["approx.simplices"]
     assert sum(counts) == sum(len(K.entries) for K in tower.complexes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_completion_op_matches_the_per_simplex_routes(seed):
+    # The op's distance from the completion to Cech is the one the scalar
+    # per-simplex Cech and completion routes give, and its coreset is the
+    # greedy one.
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["completion_hd"]
+    for index in range(len(wl.slots)):
+        args, _ = wl.inputs(seed, index)
+        points, eps = args["points"], args["eps"]
+        n = points.shape[0]
+        log_c, core = wl.op(**args)
+        cech = ref_cech(points, n - 1)
+        comp = ref_completion(cech, coreset.delta(eps) - 1, n - 1)
+        want = diagram.bottleneck_log(
+            homology.persist_filtration(comp, 2), homology.persist_filtration(cech, 2)
+        )
+        assert log_c == pytest.approx(want, rel=0.0, abs=1e-9), (seed, index)
+        assert core.subset == coreset.radius_coreset_greedy(points, eps).subset
+
+
+def test_traced_completion_op_has_one_span_per_builder_call():
+    # The layer kernels run inside cech_filtration and completion: one
+    # span each per call, counting every simplex of the n-1 skeleton.
+    W = bench_module("workloads")
+    T = bench_module("tracing")
+    wl = W.WORKLOADS["completion_hd"]
+    tracer = T.Tracer()
+    tracer.install()
+    try:
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(0, index)
+            tracer.begin_op(index)
+            wl.op(**args)
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    for index in range(len(wl.slots)):
+        n = wl.inputs(0, index)[0]["points"].shape[0]
+        layers, counts = tracer.per_op()[index], tracer.counts[index]
+        assert layers["complexes.cech_filtration"][0] == 1
+        assert layers["complexes.completion"][0] == 1
+        assert counts["complexes.cech_entries"] == [2**n - 1]
+        assert counts["complexes.completion_entries"] == [2**n - 1]

@@ -224,21 +224,21 @@ def test_completion_solves_cech_only_up_to_its_order(capsys, tmp_path, monkeypat
     # dimension min(delta-1, pmax+1) only, and the report holds no
     # distance to Cech (`cech` and `compare` give that).
     kmaxes, solved = [], []
-    cech_filtration, all_support_ball = complexes.cech_filtration, complexes._all_support_ball
+    cech_filtration, cech_layer = complexes.cech_filtration, complexes._cech_layer
 
     def spy_cech(points, kmax):
         kmaxes.append(kmax)
         return cech_filtration(points, kmax)
 
-    def spy_ball(vertices):
-        solved.append(len(vertices))
-        return all_support_ball(vertices)
+    def spy_layer(pts, k, *args):
+        solved.append(k + 1)
+        return cech_layer(pts, k, *args)
 
     def no_bottleneck(*args):
         raise AssertionError("completion computed a bottleneck distance")
 
     monkeypatch.setattr(complexes, "cech_filtration", spy_cech)
-    monkeypatch.setattr(complexes, "_all_support_ball", spy_ball)
+    monkeypatch.setattr(complexes, "_cech_layer", spy_layer)
     monkeypatch.setattr(diagram, "bottleneck_log", no_bottleneck)
     path = tmp_path / "pts.txt"
     np.savetxt(path, random_cloud(np.random.default_rng(73), 8, 4))

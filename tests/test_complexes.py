@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cechkit import complexes
 from cechkit.complexes import (
     Filtration,
     cech_filtration,
@@ -14,9 +15,9 @@ from cechkit.complexes import (
     rips_filtration,
 )
 from cechkit.errors import InvalidInput
-from cechkit.geometry import TAU_GEOM, circumball, covers, meb
+from cechkit.geometry import meb
 
-from conftest import TRIANGLE, is_face_monotone, random_cloud
+from conftest import TRIANGLE, is_face_monotone, random_cloud, ref_cech, ref_completion
 
 
 def test_cech_filtration_triangle():
@@ -83,52 +84,6 @@ def _ref_rips(pts, kmax):
     return Filtration(entries)
 
 
-def _ref_completion(filt, i, kmax):
-    """Each simplex above dimension i at the max over all its i-faces."""
-    values = filt.value_of()
-    vertices = sorted({v for s in values for v in s})
-    entries = []
-    for k in range(min(kmax, len(vertices) - 1) + 1):
-        for s in itertools.combinations(vertices, k + 1):
-            if k <= i:
-                entries.append((s, values[s]))
-            else:
-                entries.append((s, max(values[f] for f in itertools.combinations(s, i + 1))))
-    return Filtration(entries)
-
-
-def _ref_cech(pts, kmax):
-    """Facet-ball inheritance in every dimension, with a circumball solve
-    for k <= d and a Welzl fallback (also for k > d)."""
-    n, d = pts.shape
-    rows = [tuple(p) for p in pts.tolist()]
-    balls = {(i,): (rows[i], 0.0) for i in range(n)}
-    entries = [(s, 0.0) for s in balls]
-    for k in range(1, min(kmax, n - 1) + 1):
-        prev, balls = balls, {}
-        for s in itertools.combinations(range(n), k + 1):
-            facets = [s[:j] + s[j + 1 :] for j in range(k + 1)]
-            for facet, opposite in zip(facets, s):
-                if covers(*prev[facet], rows[opposite]):
-                    ball = prev[facet]
-                    break
-            else:
-                vertices = [rows[i] for i in s]
-                ball = None
-                if k <= d:
-                    center, radius = circumball(vertices)
-                    nearest = min(math.dist(center, v) for v in vertices)
-                    if radius - nearest <= radius * TAU_GEOM + 1e-12:
-                        ball = (center, radius)
-                if ball is None:
-                    res = meb(vertices)
-                    ball = (res.ball.center, res.radius)
-            value = max(ball[1], max(prev[f][1] for f in facets))
-            balls[s] = (ball[0], value)
-            entries.append((s, value))
-    return Filtration(entries)
-
-
 def _builder_clouds():
     rng = np.random.default_rng(61)
     for _ in range(12):
@@ -145,24 +100,102 @@ def _builder_clouds():
     flat = rng.normal(size=(7, 3))
     flat[:, -1] *= 1e-6
     yield flat
+    # Nine points of the grid {0, 1, 2}^3: many of their tetrahedra are
+    # coplanar (a singular Gram system) and many co-spherical.
+    grid = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+    yield grid[np.sort(rng.choice(len(grid), size=9, replace=False))]
+
+
+def assert_matches_ref_cech(cech, ref):
+    """Same simplices, face-monotone; vertices and edges bit for bit (an
+    edge is valued math.dist / 2 on both routes), every other value
+    within 1e-12 relative: the batched solves round unlike the scalar
+    ones."""
+    got, want = cech.value_of(), ref.value_of()
+    assert got.keys() == want.keys()
+    for s, v in want.items():
+        if len(s) <= 2:
+            assert got[s] == v, s
+        else:
+            assert got[s] == pytest.approx(v, rel=1e-12, abs=0.0), s
+    assert is_face_monotone(cech)
 
 
 def test_builders_match_per_family_routes_bit_for_bit():
-    # Entry lists compare values with float ==, so a last-bit
-    # difference fails.
+    # Rips and the completions compare entry lists with float ==, so a
+    # last-bit difference fails; Cech does so up to its edges.
     for pts in _builder_clouds():
         n, d = pts.shape
         full = cech_filtration(pts, n - 1)
         for kmax in sorted({0, 1, 2, 3, d, d + 1, n - 1}):
             cech = cech_filtration(pts, kmax)
-            assert cech.entries == _ref_cech(pts, kmax).entries
+            assert_matches_ref_cech(cech, ref_cech(pts, kmax))
             assert rips_filtration(pts, kmax).entries == _ref_rips(pts, kmax).entries
             for i in (1, 2, 3):
                 if i <= kmax:
-                    want = _ref_completion(cech, i, kmax).entries
+                    want = ref_completion(cech, i, kmax).entries
                     assert completion(cech, i, kmax).entries == want
-                want = _ref_completion(full, i, kmax).entries
+                want = ref_completion(full, i, kmax).entries
                 assert completion(full, i, kmax).entries == want
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_layer_blocks_leave_every_filtration_unchanged(monkeypatch, block):
+    # A layer is valued in blocks of at most complexes._BLOCK floats; a
+    # block of one simplex, or of a few, must give the one-block values.
+    def build(pts):
+        n = pts.shape[0]
+        cech = cech_filtration(pts, n - 1)
+        rips = rips_filtration(pts, n - 1)
+        return [cech.entries, rips.entries] + [completion(cech, i, n - 1).entries for i in (1, 2, 3)]
+
+    clouds = list(_builder_clouds())
+    want = [build(pts) for pts in clouds]
+    monkeypatch.setattr(complexes, "_BLOCK", block)
+    assert [build(pts) for pts in clouds] == want
+
+
+def test_only_singular_and_off_sphere_solves_take_the_scalar_route(monkeypatch):
+    # numpy refuses a stack of Gram systems that holds a singular one (the
+    # square's, coplanar); the others must still be solved in the batch.
+    # Moving one corner by 2^-26 leaves the system regular but so badly
+    # conditioned that its circumcenter misses a vertex by 5e-9 relative.
+    rng = np.random.default_rng(63)
+    square = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]
+    skewed = square[:3] + [(1.0, 1.0 + 2.0**-26, 0.0)]
+    P = np.concatenate(
+        [rng.normal(size=(5, 4, 3)), [square], rng.normal(size=(6, 4, 3)), [skewed]]
+    )
+    scalar_route, scalar = [], complexes._all_support_ball
+
+    def spy(vertices):
+        scalar_route.append(vertices)
+        return scalar(vertices)
+
+    monkeypatch.setattr(complexes, "_all_support_ball", spy)
+    centers, radii = complexes._all_support_balls(P)
+    assert scalar_route == [square, skewed]
+    for simplex, center, radius in zip(P, centers, radii):
+        want_center, want_radius = scalar([tuple(p) for p in simplex.tolist()])
+        assert radius == pytest.approx(want_radius, rel=1e-12)
+        assert center == pytest.approx(np.array(want_center), rel=1e-9, abs=1e-12)
+    assert radii[5] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert radii[-1] == pytest.approx(meb(np.array(skewed)).radius, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_cech_far_from_unit_scale_in_higher_dimensions(scale):
+    # Squared offsets under- and overflow at these scales (numpy's warning
+    # is an error here); each value must be the unscaled one times the scale.
+    rng = np.random.default_rng(64)
+    for d in (3, 4, 5, 6):
+        for n in (6, 7, 8):
+            pts = rng.normal(size=(n, d))
+            unit = cech_filtration(pts, n - 1).value_of()
+            far = cech_filtration(pts * scale, n - 1).value_of()
+            assert far.keys() == unit.keys()
+            for s, v in unit.items():
+                assert far[s] == pytest.approx(v * scale, rel=1e-12, abs=0.0), (d, n, s)
 
 
 def test_rips_filtration_triangle():
