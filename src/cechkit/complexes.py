@@ -1,18 +1,21 @@
 """Simplicial complexes, filtrations, and completion complexes.
 
-A Filtration stores (simplex, value) entries sorted by
-(value, dimension, lexicographic vertex order), which fixes the column
-order of the persistence reduction.  Simplices are sorted tuples of
-vertex labels; for point clouds the labels are point ids.  One
-completion rule, `_complete`, builds Rips (the 1-completion of the edge
-lengths), `completion`, and Cech above dimension d (the d-completion of
-its d-skeleton).
-
-The builders value one dimension (layer) at a time on numpy arrays: a
-layer's values, and for Cech its balls, sit in arrays in
-`itertools.combinations` order, and one facet table, read in blocks of
-at most `_BLOCK` floats, gives the position of each simplex's facets in
-the layer below.
+A Filtration is its layers, one per dimension.  Layer k holds the
+k-simplices in lexicographic order (for a full layer on sorted vertices,
+`itertools.combinations` order), their values as one float array, and,
+read by the persistence engine, each simplex's facet positions in layer
+k-1.  Simplices are sorted tuples of vertex labels; for point clouds the
+labels are point ids.  The builders hand their layers over whole:
+`cech_filtration`, `rips_filtration` and `completion` value one
+dimension at a time on numpy arrays, and one facet table, read in blocks
+of at most `_BLOCK` floats, gives the position of each simplex's facets
+in the layer below; those tables are the layers' facets.  One completion
+rule, `_complete`, builds Rips (the 1-completion of the edge lengths),
+`completion`, and Cech above dimension d (the d-completion of its
+d-skeleton).  `Filtration(entries)` is the one other way in: it groups
+(simplex, value) pairs by dimension, and sorts a layer and looks its
+facets up only when they are read.  The (value, dimension, simplex) order
+of `entries`, the column order of persistence, is derived on read.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,29 +38,144 @@ _BLOCK = 1 << 18
 _SMALL = 1 << 12
 
 
-def _entry_key(entry):
-    simplex, value = entry
-    return (value, len(simplex), simplex)
+class _Combinations:
+    """Every r-subset of `vertices`, in `itertools.combinations` order: a
+    full layer's simplices, listed only while they are read."""
+
+    __slots__ = ("vertices", "r")
+
+    def __init__(self, vertices, r: int):
+        self.vertices, self.r = vertices, r
+
+    def __iter__(self):
+        return itertools.combinations(self.vertices, self.r)
 
 
-@dataclass
+class _Layer:
+    """The k-simplices of a filtration in lexicographic order, their
+    values in the same order, and `facets[r]`, the positions in layer k-1
+    of the facets of simplex r (None for k = 0, or until looked up)."""
+
+    __slots__ = ("simplices", "values", "facets")
+
+    def __init__(self, simplices, values: np.ndarray, facets: np.ndarray | None = None):
+        self.simplices, self.values, self.facets = simplices, values, facets
+
+
 class Filtration:
-    """Sorted list of (simplex, value) pairs, closed under faces."""
+    """Simplices with the value at which each enters, one layer per
+    dimension.  `Filtration(entries)` takes (simplex, value) pairs, each
+    simplex at most once, and keeps them as one simplex -> value dict per
+    dimension until the layers are read; face-monotonicity is checked by
+    `homology.persist_filtration`, which reads every facet."""
 
-    entries: list[tuple[tuple[int, ...], float]]
+    def __init__(self, entries=()):
+        entries = list(entries)
+        by_size: dict = defaultdict(dict)  # vertex count -> {simplex: value}
+        for s, v in entries:
+            by_size[len(s)][s] = v
+        if 0 in by_size:
+            raise InvalidInput("a filtration entry has no vertex")
+        if sum(map(len, by_size.values())) < len(entries):
+            seen: set = set()
+            for s, _ in entries:
+                if s in seen:
+                    raise InvalidInput(f"simplex {s} appears twice in the filtration")
+                seen.add(s)
+        self._given = [by_size[k] for k in range(1, max(by_size, default=0) + 1)]
+        self._layers = None  # built from _given, which it replaces, when first read
+        self._vertices = None  # sorted labels when every layer is full on them
+        self._span = None
 
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=_entry_key)
+    @classmethod
+    def _of_layers(cls, layers: list[_Layer], vertices) -> "Filtration":
+        """The filtration whose layer k holds every (k+1)-subset of the
+        sorted `vertices`, in `itertools.combinations` order."""
+        filt = cls.__new__(cls)
+        filt._given, filt._layers, filt._vertices, filt._span = None, layers, vertices, None
+        return filt
+
+    def _lex(self) -> list[_Layer]:
+        """The layers; given entries are sorted into them, in place of
+        their dicts, on the first call."""
+        if self._layers is None:
+            self._layers = []
+            for given in self._given:
+                simplices = sorted(given)
+                values = np.fromiter(map(given.__getitem__, simplices), float, len(simplices))
+                self._layers.append(_Layer(simplices, values))
+            self._given = None
+        return self._layers
+
+    def __len__(self) -> int:
+        return sum(self.layer_sizes)
+
+    @property
+    def layer_sizes(self) -> list[int]:
+        """Number of simplices of each dimension, from 0 up."""
+        if self._given is not None:
+            return list(map(len, self._given))
+        return [len(layer.values) for layer in self._layers]
+
+    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Layer k in lexicographic order: its values and, for k >= 1, the
+        positions of each simplex's facets in layer k-1.  A layer given as
+        entries looks its facets up on the first read; a missing facet
+        raises InvalidInput, since the filtration is then not
+        face-monotone."""
+        layers = self._lex()
+        layer = layers[k]
+        if k and layer.facets is None:
+            position = {s: j for j, s in enumerate(layers[k - 1].simplices)}
+            facets = itertools.chain.from_iterable(
+                map(itertools.combinations, layer.simplices, itertools.repeat(k))
+            )
+            count = len(layer.values) * (k + 1)
+            try:
+                flat = np.fromiter(map(position.__getitem__, facets), np.intp, count)
+            except KeyError:
+                raise InvalidInput("filtration is not face-monotone") from None
+            layer.facets = flat.reshape(-1, k + 1)
+        return layer.values, layer.facets
+
+    @property
+    def entries(self) -> list[tuple[tuple, float]]:
+        """(simplex, value) pairs sorted by (value, dimension, simplex): a
+        stable sort of the values of the layers laid end to end."""
+        layers = self._lex()
+        if not layers:
+            return []
+        values = np.concatenate([layer.values for layer in layers])
+        simplices = [s for layer in layers for s in layer.simplices]
+        values_list = values.tolist()
+        return [(simplices[j], values_list[j]) for j in np.argsort(values, kind="stable").tolist()]
+
+    def span(self) -> tuple[float, float]:
+        """The first and the last value of a nonempty filtration."""
+        if self._span is None:
+            if self._given is not None:
+                filled = [given.values() for given in self._given if given]
+            else:
+                filled = [layer.values.tolist() for layer in self._layers if len(layer.values)]
+            self._span = min(map(min, filled)), max(map(max, filled))
+        return self._span
 
     def value_of(self) -> dict[tuple[int, ...], float]:
-        return {s: v for s, v in self.entries}
+        if self._given is None:
+            return {
+                s: v for layer in self._layers for s, v in zip(layer.simplices, layer.values.tolist())
+            }
+        out: dict = {}
+        for given in self._given:
+            out.update(given)
+        return out
 
     @property
     def simplices(self) -> set[tuple[int, ...]]:
-        return {s for s, _ in self.entries}
+        return set(self.value_of())
 
     def complex_at(self, alpha: float, tol: float = 0.0) -> set[tuple[int, ...]]:
-        return {s for s, v in self.entries if v <= alpha + tol}
+        return {s for s, v in self.value_of().items() if v <= alpha + tol}
 
 
 def _layer_blocks(m: int, k: int, width: int):
@@ -120,19 +239,25 @@ def _facet_table(S: np.ndarray, m: int, binom: np.ndarray) -> np.ndarray:
     return F.T
 
 
-def _complete(entries: list, layer: np.ndarray, vertices, i: int, kmax: int) -> Filtration:
-    """The i-completion up to kmax: `entries` hold every simplex on
-    `vertices` up to dimension i, and `layer` the i-simplices' values in
-    `itertools.combinations(vertices, i + 1)` order.  Each higher layer is
-    the max of its facet values, which is exactly the max over its
-    i-faces; max rounds nothing, so the values are those of a per-simplex
-    loop bit for bit.
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The blocks of a layer as one array (a lone block as it is)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _complete(layers: list[_Layer], vertices, i: int, kmax: int) -> Filtration:
+    """The i-completion up to kmax: `layers` hold every simplex on the
+    sorted `vertices` up to dimension i, lexicographically.  Each higher
+    layer is the max of its facet values, which is exactly the max over
+    its i-faces; max rounds nothing, so the values are those of a
+    per-simplex loop bit for bit.
     """
     m = len(vertices)
+    values = layers[i].values
     for k in range(i + 1, min(kmax, m - 1) + 1):
-        layer = np.concatenate([layer[F].max(axis=1) for _, F in _layer_blocks(m, k, k + 1)])
-        entries.extend(zip(itertools.combinations(vertices, k + 1), layer.tolist()))
-    return Filtration(entries)
+        tables = [F for _, F in _layer_blocks(m, k, k + 1)]
+        values = _joined([values[F].max(axis=1) for F in tables])
+        layers.append(_Layer(_Combinations(vertices, k + 1), values, _joined(tables)))
+    return Filtration._of_layers(layers, vertices)
 
 
 def cech_filtration(points, kmax: int) -> Filtration:
@@ -158,21 +283,24 @@ def cech_filtration(points, kmax: int) -> Filtration:
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n = pts.shape[0]
-    entries = [((i,), 0.0) for i in range(n)]
+    vertices = range(n)
     centers, values = pts, np.zeros(n)
+    layers = [_Layer(_Combinations(vertices, 1), values)]
     top = min(kmax, n - 1, pts.shape[1])
     for k in range(1, top + 1):
-        centers, values = _cech_layer(pts, k, centers, values, k < top)
-        entries.extend(zip(itertools.combinations(range(n), k + 1), values.tolist()))
-    return _complete(entries, values, range(n), top, kmax)
+        centers, values, facets = _cech_layer(pts, k, centers, values, k < top)
+        layers.append(_Layer(_Combinations(vertices, k + 1), values, facets))
+    return _complete(layers, vertices, top, kmax)
 
 
 def _cech_layer(pts, k: int, centers, values, keep: bool):
     """Balls of the k-simplices, from those of the (k-1)-simplices: their
-    centers (None unless `keep`) and values, in combinations order."""
+    centers (None unless `keep`), values and facet table, in combinations
+    order."""
     n, d = pts.shape
-    layer_centers, layer_values = [], []
+    layer_centers, layer_values, tables = [], [], []
     for S, F in _layer_blocks(n, k, (k + 1) * d):
+        tables.append(F)
         if k == 1:
             a, b = pts[S[:, 0]], pts[S[:, 1]]
             c = a + 0.5 * (b - a)
@@ -182,7 +310,7 @@ def _cech_layer(pts, k: int, centers, values, keep: bool):
         layer_values.append(v)
         if keep:
             layer_centers.append(c)
-    return (np.concatenate(layer_centers) if keep else None), np.concatenate(layer_values)
+    return (_joined(layer_centers) if keep else None), _joined(layer_values), _joined(tables)
 
 
 def _dists(X: np.ndarray) -> np.ndarray:
@@ -266,11 +394,14 @@ def rips_filtration(points, kmax: int) -> Filtration:
     if kmax < 0:
         raise InvalidInput(f"kmax must be >= 0, got {kmax}")
     n = pts.shape[0]
-    entries = [((i,), 0.0) for i in range(n)]
-    layer = np.concatenate([np.empty(0), *_row_distances(pts)])
-    if kmax >= 1:
-        entries.extend(zip(itertools.combinations(range(n), 2), layer.tolist()))
-    return _complete(entries, layer, range(n), 1, kmax)
+    vertices = range(n)
+    layers = [_Layer(_Combinations(vertices, 1), np.zeros(n))]
+    if kmax < 1 or n < 2:
+        return Filtration._of_layers(layers, vertices)
+    edges = np.concatenate(list(_row_distances(pts)))
+    facets = _joined([F for _, F in _layer_blocks(n, 1, 2)])
+    layers.append(_Layer(_Combinations(vertices, 2), edges, facets))
+    return _complete(layers, vertices, 1, kmax)
 
 
 def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
@@ -283,18 +414,21 @@ def completion(filt: Filtration, i: int, kmax: int) -> Filtration:
     """
     if i < 1:
         raise InvalidInput(f"completion order must be >= 1, got {i}")
-    values = filt.value_of()
-    vertices = sorted({v for s in values for v in s})
+    layers = filt._lex()
+    vertices = filt._vertices
+    if vertices is None:  # given as entries
+        vertices = sorted({v for layer in layers for s in layer.simplices for v in s})
     n = len(vertices)
-    for k in range(min(i, n - 1) + 1):
-        if not all(map(values.__contains__, itertools.combinations(vertices, k + 1))):
-            raise InvalidInput("input filtration is missing part of its i-skeleton")
+    # Simplices are sorted tuples of distinct labels, each at most once, so
+    # a layer holds every k-simplex on the vertices iff it holds C(n, k+1).
+    sizes = filt.layer_sizes
+    if any(k >= len(sizes) or sizes[k] != math.comb(n, k + 1) for k in range(min(i, n - 1) + 1)):
+        raise InvalidInput("input filtration is missing part of its i-skeleton")
     top = min(i, kmax, n - 1)
-    entries = [(s, v) for s, v in values.items() if len(s) <= top + 1]
+    layers = layers[: top + 1]
     if top == min(kmax, n - 1):
-        return Filtration(entries)
-    layer = np.fromiter(map(values.__getitem__, itertools.combinations(vertices, i + 1)), float)
-    return _complete(entries, layer, vertices, i, kmax)
+        return Filtration._of_layers(layers, vertices)
+    return _complete(layers, vertices, i, kmax)
 
 
 @dataclass

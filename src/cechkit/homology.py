@@ -3,34 +3,41 @@
 One engine, ``persist_filtration``: persistent cohomology with clearing
 (de Silva, Morozov and Vejdemo-Johansson 2011; Bauer 2021), which reduces
 the coboundaries of each dimension in reverse filtration order, as sparse
-sets of cofacet positions, and gives the pairs of homology.  A diagram up
-to dimension pmax reads only the (pmax+1)-skeleton, so that is all it
-reduces, after one facet pass that also checks every entry; above
-``MAX_ENTRIES`` entries it refuses.  Running backwards, it needs the
-whole filtration before it starts.  A tower is a sequence of
-filtrations, each giving every simplex of one complex the scale at which
-it enters, linked by simplicial vertex maps.  ``tower_diagram`` turns it into one filtration
-with the same diagram by coning off each vertex collapse of each map,
-reading the two stars of a collapse from a vertex -> star index; the
-same walk checks each map on the complex it relabels.
+sets of cofacet positions, and gives the pairs of homology.  It reads a
+`Filtration` layer by layer, as Ripser reads its combinatorial number
+system: each dimension's values, put in filtration order by one stable
+sort, and its facet table, against which one comparison checks the whole
+layer face-monotone and from which the coboundaries of the dimension
+below are grouped.  A diagram up to dimension pmax reads only the
+(pmax+1)-skeleton, so that is all it reduces; above ``MAX_ENTRIES``
+entries in it, it refuses before reading any facet table.  Running
+backwards, it needs the whole filtration before it starts.  A tower is a
+sequence of filtrations, each giving every simplex of one complex the
+scale at which it enters, linked by simplicial vertex maps.
+``tower_diagram`` turns it into one filtration with the same diagram by
+coning off each vertex collapse of each map, reading the two stars of a
+collapse from a vertex -> star index; the same walk checks each map on the
+complex it relabels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .complexes import Filtration
 from .errors import InvalidInput
 
 INF = math.inf
 
-# Most entries `persist_filtration` reduces.  Its coboundaries hold one
-# position per facet, so it grows with the filtration it is given:
-# `cech --pmax 1` on 128 and 181 planar points (349632 and 988441 entries)
-# peaks at 141 and 350 MB resident, the filtration included.
+# Most entries `persist_filtration` reduces.  Its facet tables hold one
+# position per facet, and the coboundaries grouped from them as many again,
+# so it grows with the filtration it is given: `cech --pmax 1` on 128 and
+# 181 planar points (`default_rng(3)`; 349632 and 988441 entries) peaks at
+# 122 and 278 MB resident, the filtration included.
 MAX_ENTRIES = 1_000_000
 
 
@@ -144,55 +151,51 @@ class PersistenceDiagram:
 def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
     """Diagram in every dimension <= pmax: persistent cohomology with
     clearing over the (pmax+1)-skeleton, which holds every pair of those
-    dimensions.  For p = 0 .. pmax the coboundary of each p-simplex is
-    reduced in reverse filtration order, its pivot the earliest cofacet;
-    a p-simplex that was a pivot at p-1 would reduce to zero and is
-    skipped (clearing).  The pairs equal those of homology.  The facet
-    pass that builds the coboundaries checks face-monotonicity (up to
-    1e-12) on every entry.
+    dimensions.  Each layer is put in filtration order by a stable sort of
+    its values, its lexicographic order breaking ties, so the columns come
+    in (value, dimension, simplex) order.  For p = 0 .. pmax the
+    coboundary of each p-simplex, grouped from the facet table of layer
+    p+1, is reduced in reverse filtration order, its pivot the earliest
+    cofacet; a p-simplex that was a pivot at p-1 would reduce to zero and
+    is skipped (clearing).  The pairs equal those of homology.  Every
+    layer is checked face-monotone (up to 1e-12) against its facet table.
     A skeleton of more than MAX_ENTRIES entries raises InvalidInput
-    before any coboundary is built."""
+    before any facet table is read."""
     top = max(pmax + 1, 0)
-    size = sum(len(s) <= top + 1 for s, _ in filt.entries)
+    sizes = filt.layer_sizes
+    size = sum(sizes[: top + 1])
     if size > MAX_ENTRIES:
         raise InvalidInput(
             f"the {top}-skeleton to reduce has {size} filtration entries, "
             f"above the limit of {MAX_ENTRIES}"
         )
-    value = dict(filt.entries)
-    layers: list[list] = [[] for _ in range(top + 1)]  # k -> its entries, in order
-    cofacets: dict = defaultdict(list)  # simplex -> its cofacets' positions in their layer
-    try:
-        for entry in filt.entries:
-            s, v = entry
-            k = len(s) - 1
-            if not k:
-                layers[0].append(entry)
-                continue
-            facets = itertools.combinations(s, k)
-            if k <= top:
-                facets = tuple(facets)
-            if max(map(value.__getitem__, facets)) > v + 1e-12:
-                raise InvalidInput("filtration is not face-monotone")
-            if k <= top:
-                j = len(layers[k])
-                layers[k].append(entry)
-                for f in facets:
-                    cofacets[f].append(j)
-    except KeyError:  # a missing facet
-        raise InvalidInput("filtration is not face-monotone") from None
+    values, facets = [], []
+    for k in range(len(sizes)):
+        v, F = filt.layer(k)
+        if k and (values[k - 1][F].max(axis=1) > v + 1e-12).any():
+            raise InvalidInput("filtration is not face-monotone")
+        values.append(v)
+        facets.append(F)
 
     dgm = PersistenceDiagram()
     cleared: dict = {}
-    for p in range(pmax + 1):
+    order = values[0].argsort(kind="stable") if values else None
+    for p in range(min(pmax + 1, len(values))):
+        births = values[p][order].tolist()
+        lex = order.tolist()
+        cof, start = [], [0] * (len(lex) + 1)
+        if p + 1 < len(values):
+            order = values[p + 1].argsort(kind="stable")
+            deaths = values[p + 1][order].tolist()
+            cof, start = _cofacets(facets[p + 1], order, len(lex))
         pivots: dict = {}  # cofacet position -> the reduced column whose pivot it is
-        above = layers[p + 1]
         points = []
-        for i in range(len(layers[p]) - 1, -1, -1):
+        for i in range(len(lex) - 1, -1, -1):
             if i in cleared:
                 continue
-            s, birth = layers[p][i]
-            col = cofacets.get(s)
+            s = lex[i]
+            birth = births[i]
+            col = cof[start[s] : start[s + 1]]
             if col:
                 low = col[0]
                 if low in pivots:
@@ -206,7 +209,7 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
                             break
             if col:
                 pivots[low] = col
-                death = above[low][1]
+                death = deaths[low]
                 if birth < death:
                     points.append((birth, death))
             else:
@@ -215,6 +218,16 @@ def persist_filtration(filt, pmax: int) -> PersistenceDiagram:
             dgm.points[p] = points
         cleared = pivots
     return dgm
+
+
+def _cofacets(facets: np.ndarray, order: np.ndarray, count: int) -> tuple[list, list]:
+    """The coboundaries of the `count` simplices below a layer with facet
+    table `facets`, whose filtration order is `order`:
+    cof[start[s]:start[s + 1]] lists the cofacets of the simplex at
+    lexicographic position s by increasing filtration position."""
+    keys = facets[order].ravel()
+    start = [0, *np.bincount(keys, minlength=count).cumsum().tolist()]
+    return (keys.argsort(kind="stable") // facets.shape[1]).tolist(), start
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +251,7 @@ class Tower:
         if len(self.maps) != max(len(self.complexes) - 1, 0):
             raise InvalidInput("need exactly one map per consecutive pair")
         for K, L in zip(self.complexes, self.complexes[1:]):
-            if not (K.entries and L.entries and K.entries[-1][1] < L.entries[0][1]):
+            if not (len(K) and len(L) and K.span()[1] < L.span()[0]):
                 raise InvalidInput("each complex must enter after the one before")
 
 
@@ -271,7 +284,7 @@ def _coned_filtration(tower: Tower, pmax: int) -> dict:
     fresh = itertools.count()
     current: set = set()  # the last complex walked, relabelled
     for i, K in enumerate(tower.complexes):
-        scale = K.entries[0][1] if K.entries else 0.0
+        scale = K.span()[0] if len(K) else 0.0
         mapping = tower.maps[i - 1].mapping if i > 0 else {}
         fibres: dict = {}
         for x in sorted(ids):
@@ -308,9 +321,10 @@ def _coned_filtration(tower: Tower, pmax: int) -> dict:
                             star[x].discard(s)
                             star[x].add(t)
             ids[w] = v
-        for x in sorted({x for s, _ in K.entries for x in s}.difference(ids)):
+        values = K.value_of()
+        for x in sorted({x for s in values for x in s}.difference(ids)):
             ids[x] = next(fresh)
-        new = {tuple(sorted(map(ids.__getitem__, s))): v for s, v in K.entries}
+        new = {tuple(sorted(map(ids.__getitem__, s))): v for s, v in values.items()}
         if any(new.get(s, INF) > scale for s in current):
             raise InvalidInput("map is not simplicial")
         current = set(new)

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from cechkit.complexes import Filtration
 from cechkit.errors import InvalidInput
 from cechkit.geometry import TAU_GEOM, circumball, covers, meb
-from cechkit.homology import SComplex, Tower, VertexMap
+from cechkit.homology import INF, PersistenceDiagram, SComplex, Tower, VertexMap
 from cechkit.quadtree import Cell, cell_index_of
 
 # Hypothesis caches the literals it finds in local source files under its
@@ -215,3 +216,105 @@ def ref_coned_filtration(tower: ScaleTower) -> dict:
         for s in current:
             value.setdefault(s, scale)
     return value
+
+
+# ---------------------------------------------------------------------------
+# the persistence engines before the present one, kept as its oracles
+
+
+def ref_persist(filt, pmax):
+    """Boundary-matrix column reduction of the (pmax+1)-skeleton, bitset
+    columns over global positions, that records every low, then reads the
+    pairs and the unpaired simplices in two more loops."""
+    entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
+    position = {s: i for i, (s, _) in enumerate(entries)}
+    columns = [
+        sum(1 << position[f] for f in itertools.combinations(s, len(s) - 1)) if len(s) > 1 else 0
+        for s, _ in entries
+    ]
+    low_of, lows = {}, [None] * len(entries)
+    for j in range(len(entries)):
+        col = columns[j]
+        while col and (col.bit_length() - 1) in low_of:
+            col ^= columns[low_of[col.bit_length() - 1]]
+        columns[j] = col
+        if col:
+            low_of[col.bit_length() - 1] = j
+            lows[j] = col.bit_length() - 1
+    dgm, paired = PersistenceDiagram(), set()
+    for j, low in enumerate(lows):
+        if low is None:
+            continue
+        paired.update((low, j))
+        p = len(entries[low][0]) - 1
+        if p <= pmax and entries[low][1] < entries[j][1]:
+            dgm.add(p, entries[low][1], entries[j][1])
+    for j, (s, v) in enumerate(entries):
+        if j not in paired and lows[j] is None and len(s) - 1 <= pmax:
+            dgm.add(len(s) - 1, v, INF)
+    return dgm
+
+
+def ref_cohomology(filt, pmax):
+    """Persistent cohomology with clearing over the sorted (simplex, value)
+    entries: one pass checks every entry's facets through a simplex ->
+    value dict and lists each (pmax+1)-skeleton simplex's cofacets, by
+    position in their dimension, in a simplex -> list dict."""
+    top = max(pmax + 1, 0)
+    entries = filt.entries
+    value = dict(entries)
+    layers = [[] for _ in range(top + 1)]  # k -> its entries, in order
+    cofacets = defaultdict(list)  # simplex -> its cofacets' positions in their layer
+    try:
+        for entry in entries:
+            s, v = entry
+            k = len(s) - 1
+            if not k:
+                layers[0].append(entry)
+                continue
+            facets = itertools.combinations(s, k)
+            if k <= top:
+                facets = tuple(facets)
+            if max(map(value.__getitem__, facets)) > v + 1e-12:
+                raise InvalidInput("filtration is not face-monotone")
+            if k <= top:
+                j = len(layers[k])
+                layers[k].append(entry)
+                for f in facets:
+                    cofacets[f].append(j)
+    except KeyError:  # a missing facet
+        raise InvalidInput("filtration is not face-monotone") from None
+
+    dgm = PersistenceDiagram()
+    cleared = {}
+    for p in range(pmax + 1):
+        pivots = {}  # cofacet position -> the reduced column whose pivot it is
+        above = layers[p + 1]
+        points = []
+        for i in range(len(layers[p]) - 1, -1, -1):
+            if i in cleared:
+                continue
+            s, birth = layers[p][i]
+            col = cofacets.get(s)
+            if col:
+                low = col[0]
+                if low in pivots:
+                    col = set(col)
+                    while True:
+                        col.symmetric_difference_update(pivots[low])
+                        if not col:
+                            break
+                        low = min(col)
+                        if low not in pivots:
+                            break
+            if col:
+                pivots[low] = col
+                death = above[low][1]
+                if birth < death:
+                    points.append((birth, death))
+            else:
+                points.append((birth, INF))
+        if points:
+            dgm.points[p] = points
+        cleared = pivots
+    return dgm

@@ -2,11 +2,13 @@
 kept as the oracle for the coned-filtration one."""
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from cechkit import homology
 from cechkit.approx import build_tower, tower_scale_range
 from cechkit.complexes import Filtration, cech_filtration, completion, rips_filtration
 from cechkit.coreset import delta
@@ -33,7 +35,9 @@ from conftest import (
     filtration_max_dim,
     per_scale,
     random_cloud,
+    ref_cohomology,
     ref_coned_filtration,
+    ref_persist,
 )
 
 
@@ -678,43 +682,6 @@ def test_tower_matches_oracle_tower2d_workload():
             assert_matches_oracle(tower)
 
 
-# ---------------------------------------------------------------------------
-# the homology engine before cohomology replaced it, kept as its oracle; the
-# walk's is conftest.ref_coned_filtration
-
-def ref_persist(filt, pmax):
-    """Boundary-matrix column reduction of the (pmax+1)-skeleton, bitset
-    columns over global positions, that records every low, then reads the
-    pairs and the unpaired simplices in two more loops."""
-    entries = [e for e in filt.entries if len(e[0]) <= pmax + 2]
-    position = {s: i for i, (s, _) in enumerate(entries)}
-    columns = [
-        sum(1 << position[f] for f in itertools.combinations(s, len(s) - 1)) if len(s) > 1 else 0
-        for s, _ in entries
-    ]
-    low_of, lows = {}, [None] * len(entries)
-    for j in range(len(entries)):
-        col = columns[j]
-        while col and (col.bit_length() - 1) in low_of:
-            col ^= columns[low_of[col.bit_length() - 1]]
-        columns[j] = col
-        if col:
-            low_of[col.bit_length() - 1] = j
-            lows[j] = col.bit_length() - 1
-    dgm, paired = PersistenceDiagram(), set()
-    for j, low in enumerate(lows):
-        if low is None:
-            continue
-        paired.update((low, j))
-        p = len(entries[low][0]) - 1
-        if p <= pmax and entries[low][1] < entries[j][1]:
-            dgm.add(p, entries[low][1], entries[j][1])
-    for j, (s, v) in enumerate(entries):
-        if j not in paired and lows[j] is None and len(s) - 1 <= pmax:
-            dgm.add(len(s) - 1, v, INF)
-    return dgm
-
-
 def oracle_towers():
     """tower2d seeds 0-2, inclusion towers of seeded Cech and Rips
     filtrations, and seeded random vertex-map towers."""
@@ -856,6 +823,182 @@ def test_persist_matches_the_bitset_oracle_on_completion_hd(seed):
 def test_persist_matches_the_bitset_oracle_on_planar_cech(n):
     filt = cech_filtration(np.random.default_rng([68, n]).random((n, 2)), 2)
     assert sorted_points(persist_filtration(filt, 1)) == sorted_points(ref_persist(filt, 1))
+
+
+# ---------------------------------------------------------------------------
+# the layered engine against the entry-list engine it replaced
+
+
+def assert_matches_ref_cohomology(filt, pmaxes):
+    for pmax in pmaxes:
+        want = sorted_points(ref_cohomology(filt, pmax))
+        assert sorted_points(persist_filtration(filt, pmax)) == want, pmax
+
+
+def assert_entries_in_todays_order(filt):
+    """`entries` is the (value, dimension, simplex) sort of the pairs."""
+    key = lambda e: (e[1], len(e[0]), e[0])  # noqa: E731
+    assert filt.entries == sorted(filt.value_of().items(), key=key)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layered_engine_matches_the_entry_engine_on_completion_hd(seed):
+    # Both filtrations of each op, every simplex on n points, read at pmax 2.
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["completion_hd"]
+    for index in range(len(wl.slots)):
+        args, _ = wl.inputs(seed, index)
+        pts = args["points"]
+        cech = cech_filtration(pts, len(pts) - 1)
+        comp = completion(cech, delta(args["eps"]) - 1, len(pts) - 1)
+        for filt in (cech, comp):
+            assert_entries_in_todays_order(filt)
+            assert_matches_ref_cohomology(filt, (2,))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_layered_engine_matches_the_entry_engine_on_planar_cech_and_rips(n):
+    pts = np.random.default_rng([70, n]).random((n, 2))
+    for filt in (cech_filtration(pts, 2), rips_filtration(pts, 2)):
+        assert_entries_in_todays_order(filt)
+        assert_matches_ref_cohomology(filt, (0, 1))
+
+
+def test_layered_engine_matches_the_entry_engine_on_coned_tower2d():
+    # Seeds 0-7 of each slot of the tower2d workload: the coned filtration
+    # comes in as entries, in the walk's order.
+    W = bench_module("workloads")
+    wl = W.WORKLOADS["tower2d"]
+    for seed in range(8):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            _, tower, _ = W.op_tower(**args)
+            for pmax in (0, 1):
+                filt = Filtration(list(_coned_filtration(tower, pmax).items()))
+                assert_matches_ref_cohomology(filt, (pmax,))
+
+
+def shuffled(rng, entries):
+    return [entries[j] for j in rng.permutation(len(entries))]
+
+
+def test_layered_engine_matches_the_entry_engine_on_heavy_ties():
+    # Values rounded up to one of 3 levels (a monotone map, so still
+    # face-monotone): most columns tie, and lexicographic order decides.
+    # Completing the shuffled entries puts full layers over given ones.
+    rng = np.random.default_rng(71)
+    for trial in range(12):
+        pts = random_cloud(rng, 6 + trial % 4, 2 + trial % 3)
+        for build in (cech_filtration, rips_filtration):
+            values = build(pts, 3).value_of()
+            top = max(values.values())
+            tied = [(s, math.ceil(3.0 * v / top) / 3.0) for s, v in values.items()]
+            filt = Filtration(shuffled(rng, tied))
+            for f in (filt, completion(filt, 1, 3), completion(filt, 2, 4)):
+                assert_entries_in_todays_order(f)
+                assert_matches_ref_cohomology(f, (0, 1, 2))
+
+
+def test_layered_engine_matches_the_entry_engine_on_subcomplexes():
+    # Closed subcomplexes that are not full in any layer above the
+    # vertices, given as entries in random order.
+    rng = np.random.default_rng(72)
+    for trial in range(12):
+        pts = random_cloud(rng, 7 + trial % 3, 2)
+        values = cech_filtration(pts, 3).value_of()
+        K = _random_complex(rng, list(range(len(pts))), probs=(0.6, 0.3, 0.2))
+        filt = Filtration(shuffled(rng, [(s, values[s]) for s in K.simplices]))
+        assert_matches_ref_cohomology(filt, (0, 1, 2))
+
+
+def test_filtration_rejects_a_repeated_simplex():
+    with pytest.raises(InvalidInput, match=r"\(0,\)"):
+        Filtration([((0,), 0.0), ((0,), 1.0), ((1,), 0.0), ((0, 1), 2.0)])
+    with pytest.raises(InvalidInput, match=r"\(0, 1\)"):
+        Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 2.0), ((0, 1), 3.0)])
+    with pytest.raises(InvalidInput):
+        Filtration([((0,), 0.0), ((), 1.0)])
+
+
+def test_persist_checks_layers_above_the_cut_to_1e_12():
+    # A planted violation in dimension 4, far above pmax + 1 = 2, through
+    # the entries route and through a builder's facet table.
+    pts = random_cloud(np.random.default_rng(73), 7, 3)
+    cech = cech_filtration(pts, 6)
+    values = cech.value_of()
+    s = (0, 1, 2, 3, 4)
+    facet_max = max(values[f] for f in itertools.combinations(s, 4))
+    for gap, ok in ((1e-9, False), (1e-13, True)):
+        planted = dict(values)
+        planted[s] = facet_max - gap
+        by_entries = Filtration(list(planted.items()))
+        by_layers = cech_filtration(pts, 6)
+        layer = by_layers._layers[4]
+        layer.values = layer.values.copy()
+        layer.values[list(layer.simplices).index(s)] = facet_max - gap
+        for filt in (by_entries, by_layers):
+            if ok:
+                assert persist_filtration(filt, 1) == persist_filtration(cech, 1)
+            else:
+                with pytest.raises(InvalidInput, match="face-monotone"):
+                    persist_filtration(filt, 1)
+
+
+def test_missing_facet_raises_from_persist_not_from_the_constructor():
+    # Edge (1, 3) of a triangle, above the cut at pmax 0, or vertex 3.
+    vertices = [((v,), 0.0) for v in range(4)]
+    edges = [(e, 1.0) for e in itertools.combinations(range(4), 2)]
+    no_edge = Filtration(vertices + [e for e in edges if e[0] != (1, 3)] + [((0, 1, 3), 2.0)])
+    no_vertex = Filtration(vertices[:-1] + edges)
+    for filt, pmax in ((no_edge, 0), (no_edge, 1), (no_vertex, 0)):
+        with pytest.raises(InvalidInput, match="face-monotone"):
+            persist_filtration(filt, pmax)
+
+
+def test_persist_refuses_a_large_skeleton_before_reading_a_facet(monkeypatch):
+    def no_facets(self, k):
+        raise AssertionError("a facet table was read")
+
+    pts = random_cloud(np.random.default_rng(74), 8, 2)
+    cech = cech_filtration(pts, 3)
+    monkeypatch.setattr(homology, "MAX_ENTRIES", 8 + 28 + 56 - 1)
+    monkeypatch.setattr(Filtration, "layer", no_facets)
+    for filt in (cech, Filtration(cech.entries)):
+        with pytest.raises(InvalidInput, match="above the limit"):
+            persist_filtration(filt, 1)
+    monkeypatch.setattr(homology, "MAX_ENTRIES", 8 + 28 + 56)
+    with pytest.raises(AssertionError):
+        persist_filtration(cech, 1)
+
+
+class Unordered:
+    """A vertex label that hashes but refuses every comparison."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __hash__(self):
+        return hash(self.i)
+
+    def __eq__(self, other):
+        return isinstance(other, Unordered) and other.i == self.i
+
+    def __lt__(self, other):
+        raise AssertionError("a simplex was compared")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_tower_heights_are_never_sorted():
+    # A height is read for its span, size and values, never ordered.
+    a, b, c = map(Unordered, range(3))
+    K = Filtration([((a,), 0.0), ((b,), 0.0), ((a, b), 1.0)])
+    L = Filtration([((c,), 2.0), ((a,), 2.0), ((a, c), 3.0), ((b,), 2.5)])
+    tower = Tower([K, L], [VertexMap(SComplex(K.simplices), SComplex(L.simplices), {a: a, b: c})])
+    assert [len(M) for M in tower.complexes] == [3, 4]
+    assert K.span() == (0.0, 1.0) and L.span() == (2.0, 3.0)
+    assert L.value_of() == {(c,): 2.0, (a,): 2.0, (a, c): 3.0, (b,): 2.5}
+    assert L.complex_at(2.0) == {(c,), (a,)}
 
 
 # ---------------------------------------------------------------------------
