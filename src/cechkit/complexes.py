@@ -348,8 +348,8 @@ def _solve_stack(G, rhs):
 
 def _all_support_balls(P):
     """Meb of each simplex in P (B, k+1, d), k <= d, none of whose facet
-    balls holds the opposite vertex: the circumball, as `circumball`
-    solves it, batched.  The Gram system (V V^T) lambda = diag(V V^T) / 2
+    balls holds the opposite vertex: the circumball, solved for the whole
+    block at once.  The Gram system (V V^T) lambda = diag(V V^T) / 2
     of the offsets V from the first vertex is formed from V scaled by the
     power of two of its largest entry, and every distance is scaled
     likewise (`_dists`), so nothing under- or overflows.  A singular,

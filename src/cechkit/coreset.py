@@ -7,7 +7,8 @@ delta(eps) = ceil(1/(2*eps + eps^2) + 1).
 
 The meb-coreset is the pivots of `geometry.meb`'s loop, stopped once
 the (1+eps)-expanded ball covers the farthest point.  The greedy
-radius-coreset solves its candidate balls with that loop too.  Subset
+radius-coreset solves its candidate balls with that loop too, and keeps
+its ball through a round won by an interior point.  Subset
 radii r_k are computed by exhaustive enumeration, which also powers the
 Jung-type inequality checks; inputs are capped accordingly.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import TAU_GEOM, _norms, _pivot, meb
+from .geometry import TAU_GEOM, _as_points, _norms, _pivot, meb
 
 _ENUM_CAP = 16
 _CEIL_TOL = 1e-9
@@ -82,21 +83,23 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
 
     At each step the removed point is the one whose removal leaves the
     largest remaining meb radius; ties go to the smallest point id.  The
-    ball of the current set is solved once per round.  Removing a point
-    strictly inside it leaves the radius at r, and no later candidate
-    can beat r by the 1e-12 tie margin, so such a point takes r without
-    a solve and ends the scan.  A boundary winner's scan solve is the
-    next round's ball; an interior winner's is solved afresh.
+    ball of the whole set is solved once.  Removing a point strictly
+    inside the current ball leaves that ball the meb, so its radius r
+    stands, and no later candidate can beat r by the 1e-12 tie margin:
+    such a point takes r without a solve, ends the scan, and the round
+    keeps its ball.  A boundary winner's scan solve is the next round's
+    ball.  When the last round kept its ball, the final subset is solved
+    once for the achieved factor, so that the factor is the one a fresh
+    meb of the subset gives.
     """
     dlt = delta(eps)
-    res = meb(points)
-    full_rad, center, r = res.radius, res.center, res.radius
-    rows = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
+    rows = [tuple(p) for p in _as_points(points).tolist()]
+    center, full_rad, _ = _pivot(rows)
     n = len(rows)
     if n < dlt:
         return CoresetResult(tuple(range(n)), "radius", eps, 1.0, undersized_input=True)
 
-    current = list(range(n))
+    current, r, kept = list(range(n)), full_rad, False
     while len(current) > dlt:
         inside = r * (1.0 - TAU_GEOM)
         best_rad, best_drop, best_ball = -1.0, None, None
@@ -112,7 +115,11 @@ def radius_coreset_greedy(points, eps: float) -> CoresetResult:
             if interior:
                 break
         current.remove(best_drop)
-        center, r, _ = best_ball or _pivot([rows[i] for i in current])
+        kept = best_ball is None
+        if not kept:
+            center, r, _ = best_ball
+    if kept:
+        r = _pivot([rows[i] for i in current])[1]
 
     factor = full_rad / r if r > 0 else 1.0
     return CoresetResult(tuple(current), "radius", eps, factor)

@@ -7,20 +7,23 @@ of at most d+1 points.  Stopped when that point is covered, it gives the
 meb, exact up to floating point and deterministic for d <= 12; stopped
 when the (1+eps)-expanded ball covers it, its pivots are a
 Badoiu-Clarkson meb-coreset.  Only the public `meb` validates outside
-input.  The one numeric kernel, `circumball`, solves the Gram system
-(V V^T) lambda = diag(V V^T) / 2 of the boundary offsets V from p0 for
-the minimum-norm center p0 + lambda V: in closed form up to three
-points, else by a numpy solve with a least-squares fallback.  The ball
-of a union of cells is the ball of their corners (`meb_of_cells`).
-Distances and the numpy Gram system scale each difference by a power of
-two before squaring, and the closed form takes only Gram entries within
-2^(+-400), so none of them under- or overflows; the on-sphere test of
-the support takes a slack relative to the radius plus a few ulps of the
-center's largest coordinate.
+input.  The one numeric kernel is Gaertner's push (`_Boundary`): a
+boundary is its first point plus the Gram-Schmidt-orthogonalised
+offsets of the others from it, and adding a point moves the center
+along the new orthogonal direction until it is equidistant, in O(k d)
+flops for k points.  Each Welzl level pushes one point onto its
+parent's boundary; `circumball` pushes a whole boundary and hands an
+affinely dependent one to a least-squares solve.  The ball of a union
+of cells is the ball of their corners (`meb_of_cells`).  Distances and
+the push scale each difference by a power of two before squaring, so
+none of them under- or overflows; the on-sphere test of the support
+takes a slack relative to the radius plus a few ulps of the center's
+largest coordinate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,10 +42,11 @@ _WELZL_SLACK = 1e-10
 
 MAX_MEB_DIM = 12
 
-# The closed-form three-point circumball takes Gram entries in this range,
-# where its products neither under- nor overflow; others go to the scaled
-# numpy solve.
-_GRAM_MIN, _GRAM_MAX = 2.0**-400, 2.0**400
+# A push is refused when the new offset, orthogonalised against the
+# boundary's, keeps no more than this share of its squared norm: the
+# center would then move by about 2^31 times the offset's length, where
+# the batched Cech solve (complexes) refuses lambda above 2^64 alike.
+_DEPENDENT = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -87,58 +91,96 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _scale(rows) -> float:
+    """The power of two that brings the rows' largest coordinate range
+    into [1/2, 1): offsets between rows times it square without under-
+    or overflow, and scale back exactly."""
+    spread = max(max(c) - min(c) for c in zip(*rows))
+    return math.ldexp(1.0, -min(max(math.frexp(spread)[1], -1000), 1000))
+
+
+class _Boundary:
+    """The smallest ball with some points on its sphere, in Gaertner's
+    push form (ESA 1999).
+
+    The points are the first, q0, and the offsets of the later ones from
+    q0, orthogonalised by Gram-Schmidt into `basis` (each with its
+    squared norm).  Offsets are multiplied by the power of two `s` fixed
+    by the caller (`_scale`), so that no square under- or overflows; `w`
+    is the center's scaled offset from q0.  `center` and `radius` are the
+    ball itself: the center q0 + w / s, and the radius its largest
+    distance to a boundary point; two points give the midpoint and half
+    their distance, to the bit.
+    """
+
+    __slots__ = ("points", "s", "basis", "w", "center", "radius")
+
+    def __init__(self, points, s, basis, w, center, radius):
+        self.points, self.s, self.basis, self.w = points, s, basis, w
+        self.center, self.radius = center, radius
+
+    @classmethod
+    def first(cls, p: tuple, s: float) -> "_Boundary":
+        return cls((p,), s, (), [0.0] * len(p), p, 0.0)
+
+    def push(self, p: tuple) -> "_Boundary | None":
+        """The smallest ball with the boundary and p on its sphere, in
+        O(k d) flops for k points; None when p's offset, orthogonalised
+        against the boundary's, keeps no more than `_DEPENDENT` of its
+        squared norm (p is affinely dependent on the boundary)."""
+        q0, s = self.points[0], self.s
+        points = self.points + (p,)
+        q = [(a - b) * s for a, b in zip(p, q0)]
+        qq = sum(map(mul, q, q))
+        if not self.basis:  # the midpoint and half the distance, to the bit
+            if not qq > 0.0:
+                return None
+            center = tuple([a + 0.5 * (b - a) for a, b in zip(q0, p)])
+            return _Boundary(points, s, ((q, qq),), [0.5 * a for a in q], center, 0.5 * math.dist(q0, p))
+        v = q
+        for u, uu in self.basis:
+            t = sum(map(mul, u, v)) / uu
+            v = [a - t * b for a, b in zip(v, u)]
+        vv = sum(map(mul, v, v))
+        if not vv > _DEPENDENT * qq:
+            return None
+        # The center moves along v to equidistance from p; as q0 lies on
+        # the sphere, p's excess power |q - w|^2 - |w|^2 is q.q - 2 q.w.
+        f = 0.5 * (qq - 2.0 * sum(map(mul, q, self.w))) / vv
+        w = [a + f * b for a, b in zip(self.w, v)]
+        inv = 1.0 / s
+        center = tuple([a + b * inv for a, b in zip(q0, w)])
+        radius = max(map(math.dist, itertools.repeat(center), points))
+        return _Boundary(points, s, self.basis + ((v, vv),), w, center, radius)
+
+
 def circumball(boundary) -> tuple[tuple[float, ...], float]:
     """Smallest ball with all `boundary` points on its surface.
 
     `boundary` is any sequence of points; the result is a center tuple
-    and a radius.  The center is p0 + lambda V with
-    (V V^T) lambda = diag(V V^T) / 2, where the rows of V are q - p0;
-    this is the minimum-norm solution of the offset system
-    2 V x = diag(V V^T), so the center lies in the affine hull of the
-    boundary.  Up to three points the system is solved on Python floats:
-    lambda = 1/2 for two, Cramer's rule on the 2x2 Gram matrix for
-    three.  A singular 2x2 matrix (det == 0), a diagonal Gram entry
-    outside 2^(+-400), a non-finite lambda, or four or more points go to
-    `np.linalg.solve`, and from there to the least-squares solve of the
-    offset system, which gives the minimum-norm center, when that Gram
-    matrix is singular or lambda is not finite.  The numpy Gram matrix is
-    formed from the offsets scaled by the power of two of their largest
-    entry, so it neither under- nor overflows; lambda does not depend on
-    that scale, and the center is formed from the unscaled offsets.  The
-    radius is the largest distance from the center to a boundary point
-    (half the distance for two points).
+    and a radius.  The points are pushed one at a time (`_Boundary`),
+    so the center lies in their affine hull.  A point affinely dependent
+    on those before it leaves no sphere to push onto; then the center is
+    the minimum-norm least-squares solution of the offset system
+    2 V x = diag(V V^T), the rows of V being q - p0, formed from V scaled
+    by the power of two of its largest entry so that nothing under- or
+    overflows, and the radius is the largest distance from it to a
+    boundary point.
     """
-    p0 = boundary[0]
-    if len(boundary) == 1:
-        return tuple(p0), 0.0
-    if len(boundary) == 2:
-        p1 = boundary[1]
-        return tuple(a + 0.5 * (b - a) for a, b in zip(p0, p1)), 0.5 * math.dist(p0, p1)
-    if len(boundary) == 3:
-        v1 = [b - a for a, b in zip(p0, boundary[1])]
-        v2 = [b - a for a, b in zip(p0, boundary[2])]
-        g11, g12, g22 = sum(map(mul, v1, v1)), sum(map(mul, v1, v2)), sum(map(mul, v2, v2))
-        det = g11 * g22 - g12 * g12
-        if det != 0.0 and _GRAM_MIN < g11 < _GRAM_MAX and _GRAM_MIN < g22 < _GRAM_MAX:
-            lam1 = g22 * (g11 - g12) / (2.0 * det)
-            lam2 = g11 * (g22 - g12) / (2.0 * det)
-            if math.isfinite(lam1) and math.isfinite(lam2):
-                center = tuple(a + lam1 * x + lam2 * y for a, x, y in zip(p0, v1, v2))
-                return center, max(math.dist(center, q) for q in boundary)
     pts = np.asarray(boundary, dtype=float)
+    rows = [tuple(r) for r in pts.tolist()]
+    ball = _Boundary.first(rows[0], _scale(rows))
+    for p in rows[1:]:
+        ball = ball.push(p)
+        if ball is None:
+            break
+    else:
+        return ball.center, ball.radius
     V = pts[1:] - pts[0]
     e = -math.frexp(np.abs(V).max())[1]
     W = np.ldexp(V, e)
-    G = W @ W.T
-    try:
-        lam = np.linalg.solve(G, 0.5 * np.diag(G))
-    except np.linalg.LinAlgError:
-        lam = None
-    if lam is not None and np.isfinite(lam).all():
-        center = pts[0] + lam @ V
-    else:
-        x, *_ = np.linalg.lstsq(2.0 * W, np.diag(G), rcond=None)
-        center = pts[0] + np.ldexp(x, -e)
+    x, *_ = np.linalg.lstsq(2.0 * W, np.einsum("ij,ij->i", W, W), rcond=None)
+    center = pts[0] + np.ldexp(x, -e)
     D = np.ldexp(pts - center, e)
     radius = math.ldexp(math.sqrt(float(np.einsum("ij,ij->i", D, D).max())), -e)
     return tuple(center.tolist()), radius
@@ -150,13 +192,19 @@ def covers(center, radius: float, q) -> bool:
     return math.dist(q, center) <= radius * (1.0 + _WELZL_SLACK)
 
 
-def _welzl_mtf(pts: list[tuple], boundary: list[tuple], d: int):
-    center, radius = circumball(boundary)
-    if len(boundary) == d + 1:
+def _welzl_mtf(pts: list[tuple], boundary: _Boundary, d: int):
+    """Welzl's move-to-front ball of pts with `boundary` on its sphere:
+    each point outside the current ball is pushed onto this level's
+    boundary and solved by the next level; a point that cannot be pushed
+    is skipped, as in Gaertner's loop."""
+    center, radius = boundary.center, boundary.radius
+    if len(boundary.points) == d + 1:
         return center, radius
     for i, q in enumerate(pts):
         if not covers(center, radius, q):
-            center, radius = _welzl_mtf(pts[: i + 1], boundary + [q], d)
+            pushed = boundary.push(q)
+            if pushed is not None:
+                center, radius = _welzl_mtf(pts[:i], pushed, d)
     return center, radius
 
 
@@ -170,13 +218,14 @@ def _pivot(rows: list[tuple], stop=covers):
     d = len(rows[0])
     if d > MAX_MEB_DIM:
         raise InvalidInput(f"dimension {d} exceeds exact meb limit {MAX_MEB_DIM}")
+    s = _scale(rows)
     support = [rows[0]]
     center, radius = rows[0], 0.0
     while True:
-        q = max(rows, key=lambda p: math.dist(p, center))
+        q = max(rows, key=functools.partial(math.dist, center))
         if stop(center, radius, q) or q in support:
             return center, radius, support
-        center, radius = _welzl_mtf(support, [q], d)
+        center, radius = _welzl_mtf(support, _Boundary.first(q, s), d)
         support.insert(0, q)
 
 

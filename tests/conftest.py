@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import os
+import random
 import sys
 import tempfile
 from collections import defaultdict
@@ -13,7 +14,7 @@ import pytest
 
 from cechkit.complexes import Filtration
 from cechkit.errors import InvalidInput
-from cechkit.geometry import TAU_GEOM, circumball, covers, meb
+from cechkit.geometry import TAU_GEOM, covers, meb
 from cechkit.homology import INF, PersistenceDiagram, SComplex, Tower, VertexMap
 from cechkit.quadtree import Cell, cell_index_of
 
@@ -41,6 +42,19 @@ def random_cloud(rng, n, d, box=1.0):
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         if n < 2 or dist[np.triu_indices(n, 1)].min() > 1e-6:
             return pts
+
+
+def large_support_clouds():
+    """Gaussian clouds in R^3-R^6, three per dimension, whose meb supports
+    hold 4 or more points."""
+    rng = np.random.default_rng(71)
+    for d in range(3, 7):
+        found = 0
+        while found < 3:
+            pts = rng.standard_normal((int(rng.integers(8, 13)), d))
+            if len(meb(pts).support) >= 4:
+                found += 1
+                yield pts
 
 
 def is_face_monotone(filt):
@@ -90,6 +104,77 @@ def bench_module(name):
 
 
 # ---------------------------------------------------------------------------
+# numpy references for the meb kernel: Welzl over Gram solves
+
+
+def _ref_circumball(boundary):
+    pts = np.asarray(boundary, dtype=float)
+    p0 = pts[0]
+    if len(pts) == 1:
+        return p0.copy(), 0.0
+    V = pts[1:] - p0
+    if len(V) == 1:
+        center = p0 + 0.5 * V[0]
+    else:
+        G = V @ V.T
+        try:
+            lam = np.linalg.solve(G, 0.5 * np.diag(G))
+        except np.linalg.LinAlgError:
+            lam = None
+        if lam is not None and np.isfinite(lam).all():
+            center = p0 + lam @ V
+        else:
+            x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
+            center = p0 + x
+    D = pts - center
+    return center, math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
+
+
+def _ref_covers(center, radius, q):
+    v = q - center
+    return math.sqrt(v @ v) <= radius * (1.0 + 1e-10) + 1e-14
+
+
+def _ref_welzl(pts, boundary, d):
+    center, radius = _ref_circumball(boundary)
+    if len(boundary) == d + 1:
+        return center, radius
+    for i, q in enumerate(pts):
+        if not _ref_covers(center, radius, q):
+            center, radius = _ref_welzl(pts[: i + 1], boundary + [q], d)
+    return center, radius
+
+
+def ref_meb_ball(points):
+    """(center, radius): numpy Welzl with the fixed-seed shuffle that
+    `meb` ran before its pivot loop."""
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
+    order = list(range(len(pts)))
+    random.Random(0x5EB1).shuffle(order)
+    shuffled = [pts[i] for i in order]
+    center, radius = shuffled[0].copy(), 0.0
+    for i, p in enumerate(shuffled):
+        if not _ref_covers(center, radius, p):
+            center, radius = _ref_welzl(shuffled[:i], [p], d)
+    return center, radius
+
+
+def ref_meb(points):
+    """(radius, support, boundary): `ref_meb_ball` and the library's
+    support certificate; `boundary` is every point the certificate
+    accepts as on the sphere, in its order."""
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    if n == 1:
+        return 0.0, (0,), [0]
+    center, radius = ref_meb_ball(pts)
+    dists = np.linalg.norm(pts - center, axis=1)
+    boundary = [i for i in range(n) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12]
+    return radius, tuple(boundary[: d + 1]), boundary
+
+
+# ---------------------------------------------------------------------------
 # the per-simplex routes of the filtration builders
 
 
@@ -108,8 +193,10 @@ def ref_completion(filt, i, kmax):
 
 
 def ref_cech(pts, kmax):
-    """Facet-ball inheritance in every dimension, with a circumball solve
-    for k <= d and a Welzl fallback (also for k > d)."""
+    """Facet-ball inheritance in every dimension: an edge's ball is its
+    midpoint and half its length; above that a circumball solve for
+    k <= d and a Welzl fallback (also for k > d), both on the numpy
+    references above."""
     n, d = pts.shape
     rows = [tuple(p) for p in pts.tolist()]
     balls = {(i,): (rows[i], 0.0) for i in range(n)}
@@ -125,14 +212,17 @@ def ref_cech(pts, kmax):
             else:
                 vertices = [rows[i] for i in s]
                 ball = None
-                if k <= d:
-                    center, radius = circumball(vertices)
+                if k == 1:  # the midpoint and half the distance, exactly
+                    a, b = vertices
+                    ball = (tuple(x + 0.5 * (y - x) for x, y in zip(a, b)), 0.5 * math.dist(a, b))
+                elif k <= d:
+                    center, radius = _ref_circumball(vertices)
                     nearest = min(math.dist(center, v) for v in vertices)
                     if radius - nearest <= radius * TAU_GEOM + 1e-12:
-                        ball = (center, radius)
+                        ball = (tuple(center.tolist()), radius)
                 if ball is None:
-                    res = meb(vertices)
-                    ball = (res.ball.center, res.radius)
+                    center, radius = ref_meb_ball(vertices)
+                    ball = (tuple(center.tolist()), radius)
             value = max(ball[1], max(prev[f][1] for f in facets))
             balls[s] = (ball[0], value)
             entries.append((s, value))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cechkit.coreset import (
 from cechkit.errors import InvalidInput
 from cechkit.geometry import meb
 
-from conftest import TRIANGLE, random_cloud
+from conftest import TRIANGLE, large_support_clouds, random_cloud
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +161,13 @@ def test_greedy_matches_solve_every_candidate_route():
 
 def test_greedy_skips_solves_for_interior_points(monkeypatch):
     # The centroid of the standard simplex in R^4 comes first and lies
-    # strictly inside the ball: round 1 removes it without a solve.  The
-    # four vertices then need 4 and 3 candidate solves.  One solve for the
-    # whole set (it also serves round 1) and one after the interior
-    # removal make 1 + 1 + 4 + 3 = 9 calls: a boundary winner's candidate
-    # solve is the next round's ball.  A solve per candidate makes 14.
-    # The whole set goes through `meb`, the rest through its pivot loop.
+    # strictly inside the ball: round 1 removes it without a solve and
+    # keeps the ball, which is still the meb of the rest.  The four
+    # vertices then need 4 and 3 candidate solves.  One solve for the
+    # whole set (it also serves rounds 1 and 2) makes 1 + 4 + 3 = 8
+    # calls: a boundary winner's candidate solve is the next round's
+    # ball.  A solve per candidate makes 14.  Every solve goes through
+    # the pivot loop; `meb` is never called.
     calls = []
 
     def spy(solve):
@@ -180,8 +182,8 @@ def test_greedy_skips_solves_for_interior_points(monkeypatch):
     monkeypatch.setattr(coreset_module, "_pivot", spy(coreset_module._pivot))
     res = radius_coreset_greedy(pts, 0.45)
     assert res.subset == _ref_greedy(pts, 0.45)[0] == (3, 4)
-    assert len(calls) == 9
-    assert calls == [5, 4] + [3] * 4 + [2] * 3
+    assert len(calls) == 8
+    assert calls == [5] + [3] * 4 + [2] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,19 @@ def test_is_meb_coreset_far_from_unit_scale(scale):
     right = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert is_meb_coreset(right, (1, 2), 0.1)  # the hypotenuse's ball
     assert not is_meb_coreset(right, (0, 1), 0.1)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_greedy_far_from_unit_scale(scale):
+    # Candidate balls with 4 or more support points under- and overflow
+    # their squared offsets at these scales unless scaled first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in large_support_clouds():
+            for eps in (0.1, 0.25):
+                unit, res = radius_coreset_greedy(pts, eps), radius_coreset_greedy(scale * pts, eps)
+                assert res.subset == unit.subset
+                assert res.achieved_factor == pytest.approx(unit.achieved_factor, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

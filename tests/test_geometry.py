@@ -2,8 +2,8 @@
 
 import itertools
 import math
-import random
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from cechkit import quadtree, wssd
 from cechkit.errors import InvalidInput
 from cechkit.geometry import (
-    TAU_GEOM,
     Ball,
     _row_distances,
     circumball,
@@ -23,7 +22,7 @@ from cechkit.geometry import (
 )
 from cechkit.quadtree import Cell
 
-from conftest import TRIANGLE, cell_lo, random_cloud
+from conftest import TRIANGLE, _ref_circumball, cell_lo, large_support_clouds, random_cloud, ref_meb
 
 
 # ---------------------------------------------------------------------------
@@ -155,66 +154,7 @@ def test_meb_monotone_under_inclusion():
 
 
 # ---------------------------------------------------------------------------
-# scalar Welzl kernel against the numpy Welzl it replaced
-
-def _ref_circumball(boundary):
-    pts = np.asarray(boundary, dtype=float)
-    p0 = pts[0]
-    if len(pts) == 1:
-        return p0.copy(), 0.0
-    V = pts[1:] - p0
-    if len(V) == 1:
-        center = p0 + 0.5 * V[0]
-    else:
-        G = V @ V.T
-        try:
-            lam = np.linalg.solve(G, 0.5 * np.diag(G))
-        except np.linalg.LinAlgError:
-            lam = None
-        if lam is not None and np.isfinite(lam).all():
-            center = p0 + lam @ V
-        else:
-            x, *_ = np.linalg.lstsq(2.0 * V, np.diag(G), rcond=None)
-            center = p0 + x
-    D = pts - center
-    return center, math.sqrt(float(np.einsum("ij,ij->i", D, D).max()))
-
-
-def _ref_covers(center, radius, q):
-    v = q - center
-    return math.sqrt(v @ v) <= radius * (1.0 + 1e-10) + 1e-14
-
-
-def _ref_welzl(pts, boundary, d):
-    center, radius = _ref_circumball(boundary)
-    if len(boundary) == d + 1:
-        return center, radius
-    for i, q in enumerate(pts):
-        if not _ref_covers(center, radius, q):
-            center, radius = _ref_welzl(pts[: i + 1], boundary + [q], d)
-    return center, radius
-
-
-def ref_meb(points):
-    """(radius, support, boundary): numpy Welzl with the fixed-seed shuffle
-    that `meb` ran before its pivot loop, and the library's support
-    certificate; `boundary` is every point the certificate accepts as on
-    the sphere, in its order."""
-    pts = np.asarray(points, dtype=float)
-    n, d = pts.shape
-    if n == 1:
-        return 0.0, (0,), [0]
-    order = list(range(n))
-    random.Random(0x5EB1).shuffle(order)
-    shuffled = [pts[i] for i in order]
-    center, radius = shuffled[0].copy(), 0.0
-    for i, p in enumerate(shuffled):
-        if not _ref_covers(center, radius, p):
-            center, radius = _ref_welzl(shuffled[:i], [p], d)
-    dists = np.linalg.norm(pts - center, axis=1)
-    boundary = [i for i in range(n) if abs(dists[i] - radius) <= radius * TAU_GEOM + 1e-12]
-    return radius, tuple(boundary[: d + 1]), boundary
-
+# scalar Welzl kernel against the numpy Welzl (conftest.ref_meb)
 
 def assert_same_meb(res, ref):
     """Radius within 1e-12 relative and exactly the same support: the d+1
@@ -309,34 +249,23 @@ def test_meb_returns_on_far_offset_tiny_spread_clouds():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_circumball_closed_forms_match_numpy_solve(monkeypatch):
+def test_circumball_matches_numpy_solve_on_random_and_lattice_boundaries():
     # Random boundaries of 1-3 points, then every triple of some lattice
     # corner sets.  Welzl never hands `circumball` a collinear triple (no
     # sphere passes through one), so the lattice triples are what drive
-    # the det == 0 fallback to numpy; a spy on `np.linalg.solve` sees it.
+    # the refused push and the least-squares solve after it.
     rng = np.random.default_rng(43)
     boundaries = [
         rng.uniform(size=(int(rng.integers(1, 4)), int(rng.integers(2, 7)))) for _ in range(60)
     ]
     for pts in _lattice_corner_sets(rng, 10):
         boundaries += [np.array(t) for t in itertools.combinations(pts, 3)]
-    singular_fallbacks = []
-    solve = np.linalg.solve
-
-    def spy(G, b):
-        if G.shape == (2, 2):  # only a det == 0 three-point boundary gets here
-            singular_fallbacks.append(1)
-        return solve(G, b)
-
     for pts in boundaries:
-        monkeypatch.setattr(np.linalg, "solve", spy)
         c, r = circumball(pts.tolist())
-        monkeypatch.undo()
         oc, orad = _ref_circumball(pts)
         assert isinstance(c, tuple) and len(c) == pts.shape[1]
         assert np.allclose(c, oc, rtol=1e-12, atol=1e-12)
         assert r == pytest.approx(orad, rel=1e-12)
-    assert singular_fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +393,24 @@ def test_circumball_and_meb_of_triangles_far_from_unit_scale(scale):
             assert radius == pytest.approx(unit.radius * scale, rel=1e-12)
             assert np.allclose(center, np.array(unit.center) * scale, rtol=0.0, atol=1e-12 * scale)
         assert res.support == unit.support == (0, 1, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_meb_and_circumball_of_large_supports_far_from_unit_scale(scale):
+    # Boundaries of 4 to 7 points, all pushed one at a time: the squared
+    # offsets under- and overflow at these scales unless scaled first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in large_support_clouds():
+            unit, res = meb(pts), meb(scale * pts)
+            assert len(unit.support) >= 4
+            assert res.radius == pytest.approx(unit.radius * scale, rel=1e-12)
+            assert res.support == unit.support
+            boundary = pts[list(unit.support)]
+            center, radius = circumball(boundary.tolist())
+            scaled_center, scaled_radius = circumball((scale * boundary).tolist())
+            assert scaled_radius == pytest.approx(radius * scale, rel=1e-12)
+            assert np.allclose(scaled_center, np.array(center) * scale, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_meb_support_far_below_unit_scale():
