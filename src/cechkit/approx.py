@@ -7,8 +7,8 @@ complexes at the scales of one grid height are nested, so the tower
 holds one filtration per height, and the connecting map g joins two
 heights only.  `build_A` enumerates a height's complex at one scale and
 records, as it accepts each simplex, the first scale of the height at
-which the simplex is in, so a height is enumerated and valued in one
-pass.
+which the simplex is in, so a height is enumerated and valued at once,
+one pass per dimension.
 
 The complex at scale alpha is D_alpha (see `build_A`).  It equals the
 paper's projection of an eps/12-WSSD to the grid on every cloud checked,
@@ -24,7 +24,10 @@ Each simplex carries a certified bracket of that radius, exact for a
 pair of cells and narrower than a scale step for more, so the union is
 solved only at the one scale its bracket may hold, if any.  A pair's
 radius and three cells' centre radius are closed forms in their integer
-index differences; only four or more cells run the meb pivot loop.
+index differences, so the pairs of a height are valued in one pass, and
+its triangles in one more that reads each of their three edges' records
+(radius, entry scale, squared index distance) once; only four or more
+cells run the meb pivot loop.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .complexes import Filtration, cech_filtration
 from .errors import InvalidInput
-from .geometry import _pivot, meb, meb_of_cells, min_pairwise_distance
+from .geometry import _pivot, meb_of_cells, min_pairwise_distance
 from .homology import SComplex, Tower, VertexMap
 from .quadtree import Cell, Quadtree, cell_index_of, dyadic_height, qcell
 from .wssd import WSSD
@@ -139,51 +143,25 @@ def _grid_params(qt: Quadtree, alpha: float, eps: float) -> ScaleParams:
     return params
 
 
-def _pair_radius(a: Cell, b: Cell, half: float) -> float:
-    """meb radius of two cells of one height and half side `half`: their
-    union is centrally symmetric, so its ball is the diametral ball of two
-    opposite corners."""
-    q = 0
-    for i, j in zip(a.index, b.index):
-        g = abs(i - j) + 1
-        q += g * g
-    return half * math.sqrt(q)
-
-
-def _centre_radius(t: tuple) -> float:
-    """meb radius r_c of the centres of three or more cells of one height.
-
-    Three centres are solved in closed form from the exact integer
-    squared sides x <= y <= z of their index triangle: the ball on the
-    longest side, r_c/s = sqrt(z)/2, when z >= x + y (right, obtuse or
-    collinear), else the circumball, r_c/s = sqrt(xyz / 16A^2) with
-    16A^2 = 2(xy + yz + zx) - x^2 - y^2 - z^2 (Heron).  More centres go
-    through the pivot loop."""
-    side = t[0].side
-    if len(t) == 3:
-        ab = bc = ac = 0
-        a, b, c = t
-        for i, j, k in zip(a.index, b.index, c.index):
-            ab += (i - j) * (i - j)
-            bc += (j - k) * (j - k)
-            ac += (i - k) * (i - k)
-        x, y, z = sorted((ab, bc, ac))
-        if z >= x + y:
-            return side * 0.5 * math.sqrt(z)
-        return side * math.sqrt(x * y * z / (2 * (x * y + y * z + z * x) - x * x - y * y - z * z))
-    return _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
+def _triangle_radius(x: int, y: int, z: int, side: float) -> float:
+    """meb radius of three cell centres whose index triangle has the
+    exact integer squared sides x <= y <= z, for cells of side `side`:
+    the ball on the longest side, sqrt(z)/2, when z >= x + y (right,
+    obtuse or collinear), else the circumball, sqrt(xyz / 16A^2) with
+    16A^2 = 2(xy + yz + zx) - x^2 - y^2 - z^2 (Heron)."""
+    if z >= x + y:
+        return side * 0.5 * math.sqrt(z)
+    return side * math.sqrt(x * y * z / (2 * (x * y + y * z + z * x) - x * x - y * y - z * z))
 
 
 def _bracket(t: tuple, facets: list, half: float, half_diag: float) -> tuple[float, float]:
-    """[lo, hi] holding the value of a tuple of cells of one height, given
-    its facets' brackets (see `build_A`): a pair's radius in closed form,
-    else the centres' radius r_c, closed form for three cells, widened by
-    the cells' in- and circumradii.  half = s/2 and half_diag = s sqrt(d)/2
-    for the cells' side s, fixed for a whole height."""
-    if len(t) == 2:
-        radius = _pair_radius(t[0], t[1], half)
-        return radius, radius
-    r_c = _centre_radius(t)
+    """[lo, hi] holding the value of a tuple of four or more cells of one
+    height, given its facets' brackets (see `build_A`): the meb radius
+    r_c of the cell centres, from the pivot loop, widened by the cells'
+    in- and circumradii.  half = s/2 and half_diag = s sqrt(d)/2 for the
+    cells' side s, fixed for a whole height."""
+    side = t[0].side
+    r_c = _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
     lo, hi = r_c + half, r_c + half_diag
     for f_lo, f_hi in facets:
         if f_lo > lo:
@@ -209,23 +187,36 @@ def _settle(t: tuple, bracket: tuple, theta: float, facets: list) -> tuple[float
     return max(radius, *(f[0] for f in facets)), max(radius, *(f[1] for f in facets))
 
 
+def _admit(t: tuple, bracket: tuple, facets: list, start: float, thetas: list):
+    """(settled bracket, entry scale) of t if it is in D at thetas[-1],
+    else None: the entry is the first of `thetas` that is at least the
+    bracket's lo and `start`, the latest entry of t's facets, and that
+    `_settle` admits."""
+    bracket = _settle(t, bracket, thetas[-1], facets)
+    if bracket is None:
+        return None
+    j = bisect.bisect_left(thetas, max(bracket[0], start))
+    while thetas[j] < bracket[1] and _settle(t, bracket, thetas[j], facets) is None:
+        j += 1
+    return bracket, thetas[j]
+
+
 def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex:
     """D_alpha: the nonempty height-h_alpha cells, and every tuple of up to
     wssd.kmax + 1 of them whose union has meb radius <= theta_{k_alpha},
     each with the first scale of its height at which it is in D.
 
-    Sorted tuples grow one cell at a time and are tried only when all
-    their facets are in, so the complex is closed by construction; a
-    tuple of two or more cells grows only by a later cell that has an
-    edge to its last cell, as every other coface misses a face.  A
-    simplex's value is the max of its union's radius and its facet
+    A simplex's value is the max of its union's radius and its facet
     values, so it lies in D at every theta_k >= its value.  Each simplex
-    keeps a bracket [lo, hi] of its value instead (`_bracket`):
-    - two cells of side s = 2^h: the radius in closed form, lo = hi;
-    - more cells, whose centres have meb radius r_c (`_centre_radius`:
-      closed form for three cells, the pivot loop for more): the union
-      holds each cell's inscribed ball and lies within their
-      circumscribed balls, so its radius is in
+    keeps a bracket [lo, hi] of its value instead:
+    - two cells of side s = 2^h: their union is centrally symmetric, so
+      its ball is the diametral ball of two opposite corners, of radius
+      (s/2) sqrt(sum (|i - j| + 1)^2) over the index differences, and
+      lo = hi;
+    - more cells, whose centres have meb radius r_c (closed form for
+      three cells, `_triangle_radius`; the pivot loop for more, in
+      `_bracket`): the union holds each cell's inscribed ball and lies
+      within their circumscribed balls, so its radius is in
       [r_c + s/2, r_c + s sqrt(d)/2].  Raised to the facets' brackets
       and moved out by 1e-9 relative, more than the pivot loop's 1e-10
       slack, these ends hold the value that `meb_of_cells` gives, so a
@@ -237,9 +228,19 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
     D only grows with theta inside one height, so a tuple accepted at
     theta_k enters at the first of the height's scales (`_height_scales`)
     that is at least its bracket's lo and its facets' entries and that
-    `_settle` admits; that scale is found as the tuple is accepted, with
-    its settled bracket, so a union solved at theta_k is not solved
-    again.  A vertex enters at the height's first scale.
+    `_settle` admits (`_admit`); that scale is found as the tuple is
+    accepted, with its settled bracket, so a union solved at theta_k is
+    not solved again.  A vertex enters at the height's first scale, a
+    pair at the first scale >= its exact radius.
+
+    One pass per dimension, each closed by construction: a pair joins a
+    cell to a later one in its own or an adjacent bucket; a triangle
+    grows from an edge (a, b) by a later neighbour c of b with an edge
+    (a, c), reading the three pair records; a larger tuple grows from
+    one of the dimension below by a later cell with an edge to its last
+    cell, and is tried only when all its facets are in, as every other
+    coface misses a face.  A pair never needs `_settle`, and a triangle
+    only when its bracket holds one of the scales it could enter at.
     Only epsilon and kmax are read from the WSSD, which must be built at
     eps/12, so its tuples are never built here (see `build_wssd`).
     """
@@ -258,33 +259,78 @@ def build_A(qt: Quadtree, wssd: WSSD, alpha: float, eps: float) -> ApproxComplex
         for c in group:
             later[c] = near[bisect.bisect_right(near, c):]
 
-    half = 0.5 * 2.0**h
+    side = 2.0**h
+    half = 0.5 * side
     half_diag = half * math.sqrt(qt.d)
     values = {(c,): (0.0, 0.0) for c in later}
     entries = dict.fromkeys(values, thetas[0])
-    up = {c: [] for c in later}  # cell -> the later cells it has an edge to
-    layer = list(values)
-    for _ in range(wssd.kmax):
+
+    # cell -> {later cell it has an edge to: (radius, entry, squared index
+    # distance of the two)}, in the order the edges are accepted
+    edges = {}
+    for a, cs in later.items():
+        out = edges[a] = {}
+        ia = a.index
+        for c in cs:
+            q = sq = 0
+            for i, j in zip(ia, c.index):
+                g = abs(i - j)
+                q += (g + 1) * (g + 1)
+                sq += g * g
+            radius = half * math.sqrt(q)
+            if radius > theta_k:
+                continue
+            entry = thetas[bisect.bisect_left(thetas, radius)]
+            values[a, c] = (radius, radius)
+            entries[a, c] = entry
+            out[c] = (radius, entry, sq)
+
+    layer = []
+    if wssd.kmax >= 2:
+        for a, out_a in edges.items():
+            for b, (r_ab, e_ab, sq_ab) in out_a.items():
+                for c, (r_bc, e_bc, sq_bc) in edges[b].items():
+                    ac = out_a.get(c)
+                    if ac is None:
+                        continue
+                    r_ac, e_ac, sq_ac = ac
+                    x, y, z = sorted((sq_ab, sq_bc, sq_ac))
+                    r_c = _triangle_radius(x, y, z, side)
+                    r = max(r_ab, r_ac, r_bc)
+                    lo = max(r_c + half, r) * _LO
+                    if theta_k < lo:
+                        continue
+                    hi = max(r_c + half_diag, r) * _HI
+                    t = (a, b, c)
+                    start = max(e_ab, e_ac, e_bc)
+                    j = bisect.bisect_left(thetas, max(lo, start))
+                    if theta_k >= hi and thetas[j] >= hi:  # [lo, hi) holds no scale to try
+                        values[t] = (lo, hi)
+                        entries[t] = thetas[j]
+                    else:
+                        facets = [(r_ab, r_ab), (r_ac, r_ac), (r_bc, r_bc)]
+                        admitted = _admit(t, (lo, hi), facets, start, thetas)
+                        if admitted is None:
+                            continue
+                        values[t], entries[t] = admitted
+                    layer.append(t)
+
+    for k in range(3, wssd.kmax + 1):
         grown = []
         for s in layer:
-            for c in later[s[0]] if len(s) == 1 else up[s[-1]]:
+            for c in edges[s[-1]]:
                 t = s + (c,)
+                faces = list(itertools.combinations(t, k))
                 try:
-                    facets = [values[f] for f in itertools.combinations(t, len(s))]
+                    facets = [values[f] for f in faces]
                 except KeyError:  # a facet is not in
                     continue
-                bracket = _settle(t, _bracket(t, facets, half, half_diag), theta_k, facets)
-                if bracket is None:
+                bracket = _bracket(t, facets, half, half_diag)
+                admitted = _admit(t, bracket, facets, max(map(entries.__getitem__, faces)), thetas)
+                if admitted is None:
                     continue
-                values[t] = bracket
+                values[t], entries[t] = admitted
                 grown.append(t)
-                if len(t) == 2:
-                    up[s[0]].append(c)
-                faces = itertools.combinations(t, len(s))
-                j = bisect.bisect_left(thetas, max(bracket[0], *map(entries.__getitem__, faces)))
-                while thetas[j] < bracket[1] and _settle(t, bracket, thetas[j], facets) is None:
-                    j += 1
-                entries[t] = thetas[j]
         layer = grown
     return ApproxComplex(alpha, params, SComplex(set(values)), values, entries)
 
@@ -330,7 +376,10 @@ def tower_scale_range(qt: Quadtree, eps: float) -> tuple[int, int]:
     if pts.shape[0] < 2:
         return (0, 0)
     lo_val = (min_pairwise_distance(pts) / 2.0) / (1.0 + eps)
-    hi_val = meb(pts).radius * (1.0 + eps)
+    # The cloud's radius: the pivot loop that `meb` runs on the same rows,
+    # without its input check and support certificate.  It is reached
+    # through `geometry`, so that `_pivot` here names build_A's solves.
+    hi_val = geometry._pivot([tuple(r) for r in pts.tolist()])[1] * (1.0 + eps)
     base = math.log(1.0 + eps / 2.0)
     if base == 0.0:
         raise InvalidInput(f"eps={eps!r} is too small: 1 + eps/2 rounds to 1")

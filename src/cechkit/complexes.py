@@ -29,11 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import _WELZL_SLACK, TAU_GEOM, _as_points, _norms, _pivot, _row_distances, circumball
+from .geometry import (
+    _BLOCK,
+    _WELZL_SLACK,
+    TAU_GEOM,
+    _as_points,
+    _norms,
+    _pivot,
+    _row_distances,
+    circumball,
+)
 
-# Largest block of a layer, in floats (or facet positions), so that memory
-# stays bounded when d is large; the values do not depend on it.
-_BLOCK = 1 << 18
 # Largest layer, in vertex slots, whose facet table is cached.
 _SMALL = 1 << 12
 
@@ -160,13 +166,17 @@ class Filtration:
             self._span = min(map(min, filled)), max(map(max, filled))
         return self._span
 
-    def value_of(self) -> dict[tuple[int, ...], float]:
+    def values_by_dim(self) -> list[dict]:
+        """One simplex -> value dict per dimension, from 0 up.  Entries
+        not yet read as layers are handed over as they were grouped, so
+        the dicts are read only."""
         if self._given is None:
-            return {
-                s: v for layer in self._layers for s, v in zip(layer.simplices, layer.values.tolist())
-            }
+            return [dict(zip(layer.simplices, layer.values.tolist())) for layer in self._layers]
+        return self._given
+
+    def value_of(self) -> dict[tuple[int, ...], float]:
         out: dict = {}
-        for given in self._given:
+        for given in self.values_by_dim():
             out.update(given)
         return out
 

@@ -42,6 +42,11 @@ _WELZL_SLACK = 1e-10
 
 MAX_MEB_DIM = 12
 
+# Largest block of an array computed in pieces, in floats (or facet
+# positions), so that memory stays bounded when n or d is large; the
+# values do not depend on it.
+_BLOCK = 1 << 18
+
 # A push is refused when the new offset, orthogonalised against the
 # boundary's, keeps no more than this share of its squared norm: the
 # center would then move by about 2^31 times the offset's length, where
@@ -257,10 +262,20 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_distances(pts: np.ndarray):
-    """Distances from each point to the later ones, one row at a time,
-    so memory stays O(n) where a full distance matrix would be O(n^2)."""
-    for i in range(pts.shape[0] - 1):
-        yield _norms(pts[i + 1 :] - pts[i])
+    """The distances of the pairs i < j of points, in
+    `itertools.combinations` order, in blocks of at most
+    max(1, _BLOCK // d) pairs, so memory stays bounded where a full
+    distance matrix would be O(n^2).  `_norms` scales each difference by
+    itself, so a distance does not depend on its block."""
+    n, d = pts.shape
+    count = n * (n - 1) // 2
+    size = max(1, _BLOCK // d)
+    # starts[i]: the position of pair (i, i + 1), the first of row i
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    for first in range(0, count, size):
+        p = np.arange(first, min(first + size, count))
+        i = np.searchsorted(starts, p, side="right") - 1
+        yield _norms(pts[p - starts[i] + i + 1] - pts[i])
 
 
 def diam(points) -> float:

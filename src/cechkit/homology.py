@@ -271,9 +271,12 @@ def _coned_filtration(tower: Tower, pmax: int) -> dict:
     has more than one member are indexed, and each collapse reads its two
     stars there and renames u to v in the complex and the index, so it
     costs the size of its stars, not of the complex.  The next complex is
-    then relabelled to integers: an image vertex takes the id of its
-    fibre's survivor and a new vertex a fresh id, so no later vertex
-    reuses the id of a removed one.  The collapsed complex is the map's
+    then relabelled to integers, a dimension at a time (`_relabelled`):
+    an image vertex takes the id of its fibre's survivor, and each new
+    vertex of its vertex layer, in order, a fresh id, so no later vertex
+    reuses the id of a removed one; a simplex with a vertex that is not a
+    0-simplex raises InvalidInput, as the engine refuses a filtration
+    that misses a face.  The collapsed complex is the map's
     image, so the map is simplicial iff that image lies in the part of
     the relabelled complex that enters at the map's scale; the current
     complex keeps every simplex, whatever pmax, for that check.  Each
@@ -321,17 +324,53 @@ def _coned_filtration(tower: Tower, pmax: int) -> dict:
                             star[x].discard(s)
                             star[x].add(t)
             ids[w] = v
-        values = K.value_of()
-        for x in sorted({x for s in values for x in s}.difference(ids)):
+        layers = K.values_by_dim()
+        for (x,) in sorted(s for layer in layers[:1] for s in layer if s[0] not in ids):
             ids[x] = next(fresh)
-        new = {tuple(sorted(map(ids.__getitem__, s))): v for s, v in values.items()}
-        if any(new.get(s, INF) > scale for s in current):
+        try:
+            new = _relabelled(layers, ids)
+        except KeyError:  # a vertex of a simplex is not a 0-simplex
+            raise InvalidInput("filtration is not face-monotone") from None
+        merged = {}
+        for layer in new:
+            merged.update(layer)
+        if any(merged.get(s, INF) > scale for s in current):
             raise InvalidInput("map is not simplicial")
-        current = set(new)
-        for s, v in new.items():
-            if len(s) <= pmax + 2:
-                value.setdefault(s, v)
+        current = set(merged)
+        for layer in new[: pmax + 2]:
+            for s, v in layer.items():
+                if s not in value:
+                    value[s] = v
     return value
+
+
+def _relabelled(layers: list[dict], ids: dict) -> list[dict]:
+    """Each simplex -> value dict of `layers` with its vertices renamed
+    by `ids`, which must be one to one on them: a vertex is one lookup, a
+    pair one comparison, a triangle at most three, and only larger
+    simplices go through `sorted`."""
+    get = ids.__getitem__
+    new = [{(get(x),): v for (x,), v in layer.items()} for layer in layers[:1]]
+    if len(layers) > 1:
+        pairs = {}
+        for (x, y), v in layers[1].items():
+            a, b = get(x), get(y)
+            pairs[(a, b) if a < b else (b, a)] = v
+        new.append(pairs)
+    if len(layers) > 2:
+        triangles = {}
+        for (x, y, z), v in layers[2].items():
+            a, b, c = get(x), get(y), get(z)
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            triangles[a, b, c] = v
+        new.append(triangles)
+    new += [{tuple(sorted(map(get, s))): v for s, v in layer.items()} for layer in layers[3:]]
+    return new
 
 
 def tower_diagram(tower: Tower, pmax: int) -> PersistenceDiagram:

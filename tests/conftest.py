@@ -1,3 +1,4 @@
+import bisect
 import importlib.util
 import itertools
 import math
@@ -12,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cechkit.approx as approx_module
+from cechkit.approx import ApproxComplex
 from cechkit.complexes import Filtration
 from cechkit.errors import InvalidInput
-from cechkit.geometry import TAU_GEOM, covers, meb
+from cechkit.geometry import TAU_GEOM, _pivot, covers, meb
 from cechkit.homology import INF, PersistenceDiagram, SComplex, Tower, VertexMap
-from cechkit.quadtree import Cell, cell_index_of
+from cechkit.quadtree import Cell, cell_index_of, dyadic_height
 
 # Hypothesis caches the literals it finds in local source files under its
 # storage directory, even with database=None; keep that cache out of the
@@ -408,3 +411,119 @@ def ref_cohomology(filt, pmax):
             dgm.points[p] = points
         cleared = pivots
     return dgm
+
+
+# ---------------------------------------------------------------------------
+# build_A as it grew every tuple through one loop, kept as the oracle of the
+# per-dimension passes: a pair's radius and every bracket from `ref_bracket`,
+# each tuple settled by `ref_settle`, which solves through
+# `approx.meb_of_cells`, so a spy there sees the oracle's solves too
+
+
+def ref_pair_radius(a, b, half):
+    """meb radius of two cells of one height and half side `half`: their
+    union is centrally symmetric, so its ball is the diametral ball of two
+    opposite corners."""
+    q = 0
+    for i, j in zip(a.index, b.index):
+        g = abs(i - j) + 1
+        q += g * g
+    return half * math.sqrt(q)
+
+
+def ref_centre_radius(t):
+    """meb radius of the centres of three or more cells of one height: the
+    closed form in the integer squared sides for three, the pivot loop for
+    more."""
+    side = t[0].side
+    if len(t) == 3:
+        ab = bc = ac = 0
+        a, b, c = t
+        for i, j, k in zip(a.index, b.index, c.index):
+            ab += (i - j) * (i - j)
+            bc += (j - k) * (j - k)
+            ac += (i - k) * (i - k)
+        x, y, z = sorted((ab, bc, ac))
+        if z >= x + y:
+            return side * 0.5 * math.sqrt(z)
+        return side * math.sqrt(x * y * z / (2 * (x * y + y * z + z * x) - x * x - y * y - z * z))
+    return _pivot([tuple((i + 0.5) * side for i in c.index) for c in t])[1]
+
+
+def ref_bracket(t, facets, half, half_diag):
+    """[lo, hi] holding the value of a tuple of cells of one height: a
+    pair's radius, else the centres' radius widened by the cells' in- and
+    circumradii, raised to the facets' brackets and moved out by 1e-9."""
+    if len(t) == 2:
+        radius = ref_pair_radius(t[0], t[1], half)
+        return radius, radius
+    r_c = ref_centre_radius(t)
+    lo, hi = r_c + half, r_c + half_diag
+    for f_lo, f_hi in facets:
+        if f_lo > lo:
+            lo = f_lo
+        if f_hi > hi:
+            hi = f_hi
+    return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
+
+
+def ref_settle(t, bracket, theta, facets):
+    """t's bracket if t is in D at theta, else None, solving t's union
+    only when lo <= theta < hi."""
+    lo, hi = bracket
+    if theta < lo:
+        return None
+    if theta >= hi:
+        return bracket
+    radius = approx_module.meb_of_cells(t).radius
+    if radius > theta:
+        return None
+    return max(radius, *(f[0] for f in facets)), max(radius, *(f[1] for f in facets))
+
+
+def ref_grown_A(qt, wssd, alpha, eps):
+    """D_alpha with each simplex's bracket and entry scale: sorted tuples
+    grow one cell at a time, a vertex by a later cell of its own or an
+    adjacent bucket and a larger tuple by a later cell with an edge to its
+    last cell, each tried when all its facets are in; each bracket is
+    `ref_bracket`'s, looked up as a module global per tuple."""
+    if abs(wssd.epsilon - eps / 12.0) > 1e-12 * eps:
+        raise InvalidInput("WSSD must be built with parameter eps/12")
+    params = approx_module._grid_params(qt, alpha, eps)
+    h, theta_k = params.h_alpha, params.theta_k
+    thetas = approx_module._height_scales(params, qt.d)
+    top = dyadic_height(theta_k) + 2
+    later = {}
+    for a, group in qt.buckets(h, top).items():
+        near = sorted(qt.near(Cell(top, a), h))
+        for c in group:
+            later[c] = near[bisect.bisect_right(near, c) :]
+    half = 0.5 * 2.0**h
+    half_diag = half * math.sqrt(qt.d)
+    values = {(c,): (0.0, 0.0) for c in later}
+    entries = dict.fromkeys(values, thetas[0])
+    up = {c: [] for c in later}
+    layer = list(values)
+    for _ in range(wssd.kmax):
+        grown = []
+        for s in layer:
+            for c in later[s[0]] if len(s) == 1 else up[s[-1]]:
+                t = s + (c,)
+                try:
+                    facets = [values[f] for f in itertools.combinations(t, len(s))]
+                except KeyError:
+                    continue
+                bracket = ref_settle(t, ref_bracket(t, facets, half, half_diag), theta_k, facets)
+                if bracket is None:
+                    continue
+                values[t] = bracket
+                grown.append(t)
+                if len(t) == 2:
+                    up[s[0]].append(c)
+                faces = itertools.combinations(t, len(s))
+                j = bisect.bisect_left(thetas, max(bracket[0], *map(entries.__getitem__, faces)))
+                while thetas[j] < bracket[1] and ref_settle(t, bracket, thetas[j], facets) is None:
+                    j += 1
+                entries[t] = thetas[j]
+        layer = grown
+    return ApproxComplex(alpha, params, SComplex(set(values)), values, entries)

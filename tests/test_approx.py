@@ -30,6 +30,7 @@ from cechkit.homology import (
     INF,
     PersistenceDiagram,
     SComplex,
+    Tower,
     VertexMap,
     _coned_filtration,
     check_contiguous,
@@ -39,13 +40,17 @@ from cechkit.homology import (
 from cechkit.quadtree import Cell, build, normalize, qcell
 from cechkit.wssd import build_wssd
 
+import conftest
 from conftest import (
     TRIANGLE,
     ScaleTower,
     bench_module,
     cells_at,
     random_cloud,
+    ref_bracket,
+    ref_centre_radius,
     ref_coned_filtration,
+    ref_grown_A,
 )
 
 
@@ -90,13 +95,13 @@ def ref_cut(top, params):
     return ApproxComplex(params.alpha, params, SComplex(set(values)), values)
 
 
-def ref_approx_complexes(qt, dec, eps, ell_range):
-    """ApproxComplex at every scale: one build_A per height, cut below."""
+def ref_approx_complexes(qt, dec, eps, ell_range, build=build_A):
+    """ApproxComplex at every scale: one `build` per height, cut below."""
     params = [approx_module._grid_params(qt, theta, eps) for theta in thetas(eps, ell_range)]
     out = []
     for _, run in itertools.groupby(params, key=lambda p: p.h_alpha):
         *below, last = run
-        top = build_A(qt, dec, last.alpha, eps)
+        top = build(qt, dec, last.alpha, eps)
         out += [ref_cut(top, p) for p in below] + [top]
     return out
 
@@ -534,14 +539,18 @@ def equal_height_tuples(draw):
 def test_cell_tuple_brackets_hold_the_union_radius(t):
     # A pair's closed form is meb_of_cells's radius to the bit; a larger
     # tuple's bracket, built from its faces' brackets, holds that radius
-    # and is no wider than s (sqrt(d) - 1)/2 plus its margins.
+    # and is no wider than s (sqrt(d) - 1)/2 plus its margins.  Pairs and
+    # triangles are bracketed as `ref_bracket` does, which build_A's
+    # closed-form passes match bit for bit (see the oracle test below),
+    # and four or more cells by `approx._bracket`.
     half = 0.5 * t[0].side
     half_diag = half * math.sqrt(t[0].d)
     brackets = {(c,): (0.0, 0.0) for c in t}
     for size in range(2, len(t) + 1):
+        bracket = ref_bracket if size <= 3 else approx_module._bracket
         for s in itertools.combinations(t, size):
             facets = [brackets[f] for f in itertools.combinations(s, size - 1)]
-            brackets[s] = approx_module._bracket(s, facets, half, half_diag)
+            brackets[s] = bracket(s, facets, half, half_diag)
     radius = meb_of_cells(t).radius
     lo, hi = brackets[t]
     if len(t) == 2:
@@ -628,7 +637,7 @@ def test_three_cell_centre_radius_is_the_meb_of_the_centres(case):
     elif kind != "any":
         assert z > x + y
     side = t[0].side
-    r_c = approx_module._centre_radius(t)
+    r_c = approx_module._triangle_radius(x, y, z, side)
     assert r_c == pytest.approx(meb([(v + 0.5) * side for v in (a, b, c)]).radius, rel=1e-12)
 
 
@@ -657,27 +666,30 @@ def test_tower2d_brackets_solve_no_centre_ball(monkeypatch):
 def _bracket_oracle(t, facets, half, half_diag):
     """`approx._bracket` as it was before the per-height half side was
     hoisted out of it: side, half side and sqrt(d) read off the tuple per
-    call, facet brackets unpacked through generators."""
+    call, facet brackets unpacked through generators; a pair's radius
+    too."""
     if len(t) == 2:
         a, b = t
         radius = 0.5 * a.side * math.sqrt(sum((abs(i - j) + 1) ** 2 for i, j in zip(a.index, b.index)))
         return radius, radius
     side = t[0].side
-    r_c = approx_module._centre_radius(t)
+    r_c = ref_centre_radius(t)
     lo = max(r_c + 0.5 * side, *(f[0] for f in facets)) * (1.0 - 1e-9)
     hi = max(r_c + 0.5 * side * math.sqrt(t[0].d), *(f[1] for f in facets)) * (1.0 + 1e-9)
     return lo, hi
 
 
-def _tower_values(qt, dec, eps):
+def _tower_values(qt, dec, eps, build=build_A):
     """ApproxComplex.values at every scale of the tower."""
-    return [a.values for a in ref_approx_complexes(qt, dec, eps, tower_scale_range(qt, eps))]
+    complexes = ref_approx_complexes(qt, dec, eps, tower_scale_range(qt, eps), build)
+    return [a.values for a in complexes]
 
 
 def test_tower2d_brackets_equal_the_unhoisted_bracket(monkeypatch):
-    # The per-height half side and facet loop change no bracket by a bit:
-    # every simplex's (lo, hi) at every scale of the tower2d seeds equals
-    # the one the oracle gives.
+    # The per-height half side and facet loop, and the closed-form pair
+    # and triangle passes, change no bracket by a bit: every simplex's
+    # (lo, hi) at every scale of the tower2d seeds equals the one that
+    # the tuple-grown oracle gives with the unhoisted bracket.
     wl = bench_module("workloads").WORKLOADS["tower2d"]
     towers = []
     for seed in range(4):
@@ -685,13 +697,87 @@ def test_tower2d_brackets_equal_the_unhoisted_bracket(monkeypatch):
             args, _ = wl.inputs(seed, index)
             towers.append(make(args["points"], args["eps"], 2) + (args["eps"],))
     got = [_tower_values(qt, dec, eps) for qt, dec, eps in towers]
-    monkeypatch.setattr(approx_module, "_bracket", _bracket_oracle)
-    want = [_tower_values(qt, dec, eps) for qt, dec, eps in towers]
+    monkeypatch.setattr(conftest, "ref_bracket", _bracket_oracle)
+    want = [_tower_values(qt, dec, eps, ref_grown_A) for qt, dec, eps in towers]
     assert any(len(s) == 3 for tower in got for values in tower for s in values)
     for g, w in zip(got, want):
         assert len(g) == len(w)
         for a, b in zip(g, w):
             assert a == b
+
+
+def _oracle_clouds():
+    """(points, eps, kmax, name): tower2d seeds 0-7, the clouds of
+    acceptance criteria 4 and 5, a cloud in R^3 at kmax 3 and a planar
+    cloud whose brackets hold scales of their height."""
+    wl = bench_module("workloads").WORKLOADS["tower2d"]
+    for seed in range(8):
+        for index in range(len(wl.slots)):
+            args, _ = wl.inputs(seed, index)
+            yield args["points"], args["eps"], 2, f"tower2d-{seed}-{index}"
+    rng = np.random.default_rng(1004)
+    for trial in range(20):
+        pts = random_cloud(rng, int(rng.integers(4, 11)), 2)
+        rng.uniform(0.4, 1.5)  # criterion 4's alpha
+        yield pts, 0.5, 2, f"criterion4-{trial}"
+    rng = np.random.default_rng(1005)
+    for trial in range(10):
+        eps = 0.25 if trial % 2 == 0 else 0.5
+        yield random_cloud(rng, int(rng.integers(5, 11)), 2), eps, 2, f"criterion5-{trial}"
+    yield random_cloud(np.random.default_rng(1), 8, 3), 0.5, 3, "r3-kmax3"
+    yield random_cloud(np.random.default_rng(1), 9, 2), 0.5, 2, "straddling"
+
+
+def test_build_A_matches_the_tuple_grown_oracle(monkeypatch):
+    # The per-dimension passes give the oracle's brackets to the bit, its
+    # entry scales and its complex, in the same insertion order, at every
+    # scale of each tower, and solve the same unions in the same order.
+    solved = []
+    solve = approx_module.meb_of_cells
+
+    def solve_spy(cells):
+        solved.append(cells)
+        return solve(cells)
+
+    monkeypatch.setattr(approx_module, "meb_of_cells", solve_spy)
+    sizes = {}
+    for pts, eps, kmax, name in _oracle_clouds():
+        qt, dec = make(pts, eps, kmax)
+        solves = 0
+        for theta in thetas(eps, tower_scale_range(qt, eps)):
+            solved.clear()
+            got = build_A(qt, dec, theta, eps)
+            calls = len(solved)
+            want = ref_grown_A(qt, dec, theta, eps)
+            assert solved[:calls] == solved[calls:], (name, theta)
+            solves += calls
+            assert list(got.values.items()) == list(want.values.items()), (name, theta)
+            assert list(got.entries.items()) == list(want.entries.items()), (name, theta)
+            assert got.complex == want.complex and got.params == want.params, (name, theta)
+            for s in got.values:
+                sizes[len(s)] = sizes.get(len(s), 0) + 1
+        if name == "straddling":
+            assert solves >= 2
+    assert sizes[4] > 0
+
+
+def test_a_tower_vertex_that_is_no_0_simplex_is_refused():
+    # A simplex whose vertex is not a 0-simplex of its complex makes the
+    # walk refuse the tower as the engine refuses such a filtration, in
+    # the first complex or in a later one.
+    bad = Filtration([((0,), 0.0), ((0, 1), 1.0)])
+    good = Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
+    later = Filtration([((0,), 2.0), ((0, 2), 3.0)])
+    collapse = VertexMap(SComplex(good.simplices), SComplex(later.simplices), {0: 0, 1: 0})
+    towers = [Tower([bad], []), Tower([good, later], [collapse])]
+    for tower in towers:
+        for pmax in (0, 1):
+            with pytest.raises(InvalidInput, match="not face-monotone"):
+                _coned_filtration(tower, pmax)
+            with pytest.raises(InvalidInput, match="not face-monotone"):
+                tower_diagram(tower, pmax)
+    with pytest.raises(InvalidInput, match="not face-monotone"):
+        persist_filtration(bad, 1)
 
 
 # ---------------------------------------------------------------------------

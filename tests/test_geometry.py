@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cechkit import quadtree, wssd
+from cechkit import geometry, quadtree, wssd
+from cechkit.complexes import rips_filtration
 from cechkit.errors import InvalidInput
 from cechkit.geometry import (
     Ball,
+    _norms,
     _row_distances,
     circumball,
     diam,
@@ -427,8 +429,42 @@ def test_row_distances_are_the_plain_norms_at_ordinary_scales():
     for _ in range(100):
         n, d = int(rng.integers(2, 20)), int(rng.integers(1, 8))
         pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-100, 100)
-        for i, row in enumerate(_row_distances(pts)):
-            assert row.tolist() == np.linalg.norm(pts[i + 1 :] - pts[i], axis=1).tolist()
+        plain = [np.linalg.norm(pts[i + 1 :] - pts[i], axis=1) for i in range(n - 1)]
+        assert np.concatenate(list(_row_distances(pts))).tolist() == np.concatenate(plain).tolist()
+
+
+def _per_row_distances(pts):
+    """The pair distances as `_row_distances` gave them before it read
+    blocks: one `_norms` call per point, on its differences to the later
+    points."""
+    return np.concatenate([_norms(pts[i + 1 :] - pts[i]) for i in range(len(pts) - 1)])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-160])
+def test_distance_blocks_are_the_per_row_distances(monkeypatch, block, scale):
+    # Blocks of one pair, of a few (splitting rows), or the default hold
+    # the per-row distances bit for bit, in combinations order, also
+    # where squares of the coordinates or gaps would over- or underflow;
+    # diam, the minimum distance and Rips's edge layer read them.
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+    rng = np.random.default_rng(69)
+    for n, d in ((2, 1), (3, 2), (9, 2), (30, 3), (17, 12), (12, 100)):
+        pts = rng.standard_normal((n, d)) * scale
+        want = _per_row_distances(pts)
+        blocks = list(_row_distances(pts))
+        assert all(len(b) <= max(1, geometry._BLOCK // d) for b in blocks)
+        assert np.concatenate(blocks).tobytes() == want.tobytes(), (n, d)
+        assert diam(pts) == float(want.max())
+        assert min_pairwise_distance(pts) == float(want.min())
+        assert rips_filtration(pts, 1).layer(1)[0].tobytes() == want.tobytes()
+
+
+def test_min_pairwise_distance_needs_two_points():
+    for pts in ([[0.0, 0.0]], np.zeros((1, 5)), np.zeros((0, 3))):
+        with pytest.raises(InvalidInput):
+            min_pairwise_distance(pts)
 
 
 def _corners_loop(cell):
